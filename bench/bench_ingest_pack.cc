@@ -1,24 +1,21 @@
-// Packing-throughput microbench: how fast can the batch former claim and
-// classify an epoch, sequential vs pool-fanned classification, across thread
-// counts and safe/unsafe mixes?
+// Packing-throughput microbench: how fast does the batch former claim and
+// classify an epoch, per safe/unsafe mix?
 //
-// Isolates the packing hot path the way the classification-equivalence test
-// does: updates are pushed into the sharded rings, packed (timed), then the
-// epoch executes outside the timed window so frozen sessions make progress
-// and the deferred backlog stays bounded, exactly as in the real pipeline.
-// The ring refill adapts to the claim rate for the same reason (a closed
-// in-flight window, like DrivePipelined's). Classification cost is made
-// realistic by maintaining all four paper algorithms (an update is safe only
-// if it is safe for *every* algorithm).
+// Isolates the packing hot path: updates are pushed into the sharded rings,
+// packed (timed), then the epoch executes outside the timed window so frozen
+// sessions make progress and the deferred backlog stays bounded, exactly as
+// in the real pipeline. The ring refill adapts to the claim rate for the
+// same reason (a closed in-flight window, like DrivePipelined's).
+// Classification cost is made realistic by maintaining all four paper
+// algorithms (an update is safe only if it is safe for *every* algorithm).
+//
+// Each mix packs a fixed number of updates (cycled from its stream), scaled
+// by RISGRAPH_SECONDS like bench_fig11b_breakdown, so every run of a mix
+// packs the same work; the run fails unless every pushed update is claimed.
 //
 // Writes BENCH_ingest_pack.json next to the binary for the perf trajectory.
-//
-// Expected shape: classification dominates packing, so fanning it across N
-// workers approaches Nx until staging/reconciliation (the serial sections)
-// cap it; the insert-heavy mix classifies faster per item (no duplicate
-// count lookup), lowering the parallel benefit. On a single-core host every
-// mode degenerates to the sequential baseline.
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -29,7 +26,6 @@
 #include "core/algorithm_api.h"
 #include "ingest/batch_former.h"
 #include "ingest/ingest_queue.h"
-#include "parallel/thread_pool.h"
 #include "runtime/risgraph.h"
 #include "workload/rmat.h"
 #include "workload/update_stream.h"
@@ -44,13 +40,11 @@ constexpr size_t kSessions = 64;
 struct PackResult {
   double items_per_sec = 0;
   uint64_t claimed = 0;
-  double unsafe_share = 0;
+  uint64_t unsafe = 0;
+  uint64_t epochs = 0;
 };
 
-PackResult RunPack(const StreamWorkload& wl, double seconds, size_t threads,
-                   size_t threshold) {
-  // Fresh system per configuration: epochs execute, so state evolves; the
-  // identical seed keeps every configuration's workload identical.
+PackResult RunPack(const StreamWorkload& wl, uint64_t total) {
   RisGraph<> sys(wl.num_vertices);
   sys.AddAlgorithm<Bfs>(0);
   sys.AddAlgorithm<Sssp>(0);
@@ -59,25 +53,26 @@ PackResult RunPack(const StreamWorkload& wl, double seconds, size_t threads,
   sys.LoadGraph(wl.preload);
   sys.InitializeResults();
 
-  ThreadPool pool(threads);
   ShardedIngestQueue queue(kShards, kShardCapacity);
-  BatchFormer<DefaultGraphStore> former(sys, queue, &pool, {threshold});
+  BatchFormer<DefaultGraphStore> former(sys, queue);
   std::unique_ptr<Session[]> sessions(new Session[kSessions]);
   std::vector<Update> wal;
   wal.reserve(kShards * kShardCapacity);
 
   const std::vector<Update>& stream = wl.updates;
-  size_t cursor = 0;
+  uint64_t cursor = 0;
   PackResult r;
-  uint64_t unsafe_claims = 0;
   int64_t pack_ns = 0;
   uint64_t refill_budget = 2048;
-  WallTimer timer;
-  while (timer.ElapsedSeconds() < seconds) {
+  // Parked items are claimed by a later pass, so the loop ends once every
+  // pushed update has been claimed (a pass that only parks claims nothing
+  // but still turns the epoch over, which unfreezes its sessions).
+  while (r.claimed < total) {
     // Refill the rings (producer cost, excluded from the measurement),
     // bounded near the claim rate so the parked backlog stays a window, not
     // a flood.
-    for (uint64_t i = 0; i < refill_budget; ++i) {
+    uint64_t refill_end = std::min(total, cursor + refill_budget);
+    while (cursor < refill_end) {
       size_t s = cursor % kSessions;
       if (!queue.shard(s % kShards)
                .TryPush(IngestItem{IngestKind::kAsync, &sessions[s],
@@ -92,6 +87,7 @@ PackResult RunPack(const StreamWorkload& wl, double seconds, size_t threads,
     uint64_t claimed = former.PackOnce(wal);
     pack_ns += WallTimer::NowNanos() - t0;
     r.claimed += claimed;
+    ++r.epochs;
     refill_budget = claimed + 1024;
     // Execute the epoch outside the timed window (safe phase, then the
     // unsafe lane) so sessions unfreeze and verdicts track a live graph.
@@ -99,7 +95,7 @@ PackResult RunPack(const StreamWorkload& wl, double seconds, size_t threads,
       for (const Update& u : g.updates) sys.ApplySafeToStore(u);
     }
     auto& unsafe_queue = former.unsafe_queue();
-    unsafe_claims += unsafe_queue.size();
+    r.unsafe += unsafe_queue.size();
     while (!unsafe_queue.empty()) {
       sys.ApplyUnsafe(unsafe_queue.front().async_update);
       unsafe_queue.pop_front();
@@ -107,9 +103,6 @@ PackResult RunPack(const StreamWorkload& wl, double seconds, size_t threads,
   }
   r.items_per_sec =
       pack_ns > 0 ? static_cast<double>(r.claimed) * 1e9 / pack_ns : 0;
-  r.unsafe_share = r.claimed > 0 ? static_cast<double>(unsafe_claims) /
-                                       static_cast<double>(r.claimed)
-                                 : 0;
   return r;
 }
 
@@ -119,9 +112,9 @@ PackResult RunPack(const StreamWorkload& wl, double seconds, size_t threads,
 int main() {
   using namespace risgraph;
   auto env = bench::Env::Get();
-  bench::PrintTitle("Epoch packing throughput: sequential vs parallel "
-                    "classification",
-                    "the two-stage packer; paper Sections 4-5, Figure 9");
+  bench::PrintTitle("Epoch packing throughput",
+                    "claim-order classification; paper Sections 4-5, "
+                    "Figure 9");
 
   RmatParams rmat;
   rmat.scale = 13;
@@ -136,65 +129,47 @@ int main() {
   // Deletions force a duplicate-count lookup plus per-algorithm tree checks,
   // so the mixed stream is the classification-heavy case.
   const Mix mixes[] = {{"mixed", 0.5}, {"insert_heavy", 0.9}};
-  const size_t thread_counts[] = {2, 4, 8};
+  // Fixed work per mix; RISGRAPH_SECONDS scales it (default 1.0 = 200k).
+  const uint64_t total = std::max<uint64_t>(
+      10000, static_cast<uint64_t>(env.seconds * 200000));
 
-  // Record the box size with the numbers: a 1-core container has no workers
-  // to fan classification to, so "parallel" modes degenerate to sequential
-  // plus fork-join overhead and speedup_vs_seq inverts below 1x. The
-  // trajectory tooling must compare speedups only when
-  // parallel_speedup_meaningful is true, instead of flagging a small-CI
-  // inversion as a regression.
-  unsigned hw = std::thread::hardware_concurrency();
   std::string json = "{\n  \"bench\": \"ingest_pack\",\n";
-  json += "  \"hardware_concurrency\": " + std::to_string(hw) + ",\n";
-  json += std::string("  \"parallel_speedup_meaningful\": ") +
-          (hw > 1 ? "true" : "false") + ",\n  \"results\": [\n";
-  if (hw <= 1) {
-    std::printf("NOTE: single-core host (hardware_concurrency=%u): parallel "
-                "speedups are not meaningful and are recorded as such in the "
-                "JSON.\n\n",
-                hw);
-  }
+  json += "  \"hardware_concurrency\": " +
+          std::to_string(std::thread::hardware_concurrency()) + ",\n";
+  json += "  \"updates\": " + std::to_string(total) + ",\n  \"results\": [\n";
+  std::printf("%-13s %10s %12s %8s %8s\n", "mix", "updates", "items/s",
+              "unsafe%", "epochs");
   bool first = true;
   for (const Mix& mix : mixes) {
     so.insert_fraction = mix.insert_fraction;
     StreamWorkload wl = BuildStream(uint64_t{1} << rmat.scale,
                                     GenerateRmat(rmat), so);
-
-    PackResult seq = RunPack(wl, env.seconds, 1, ~size_t{0});
-    std::printf("%-13s %-11s %8s  %12s %9s %8s\n", "mix", "mode", "threads",
-                "items/s", "speedup", "unsafe%");
-    std::printf("%-13s %-11s %8d  %12s %8.2fx %7.1f%%\n", mix.name,
-                "sequential", 1, bench::FmtOps(seq.items_per_sec).c_str(), 1.0,
-                100 * seq.unsafe_share);
-    auto emit = [&](const char* mode, size_t threads, const PackResult& r) {
-      if (!first) json += ",\n";
-      first = false;
-      char buf[256];
-      std::snprintf(buf, sizeof(buf),
-                    "    {\"mix\": \"%s\", \"mode\": \"%s\", \"threads\": "
-                    "%zu, \"items_per_sec\": %.0f, \"speedup_vs_seq\": %.3f, "
-                    "\"unsafe_share\": %.4f, \"claimed\": %llu}",
-                    mix.name, mode, threads, r.items_per_sec,
-                    seq.items_per_sec > 0
-                        ? r.items_per_sec / seq.items_per_sec
-                        : 0.0,
-                    r.unsafe_share,
-                    static_cast<unsigned long long>(r.claimed));
-      json += buf;
-    };
-    emit("sequential", 1, seq);
-    for (size_t threads : thread_counts) {
-      PackResult par = RunPack(wl, env.seconds, threads, /*threshold=*/1);
-      std::printf("%-13s %-11s %8zu  %12s %8.2fx %7.1f%%\n", mix.name,
-                  "parallel", threads,
-                  bench::FmtOps(par.items_per_sec).c_str(),
-                  par.items_per_sec / seq.items_per_sec,
-                  100 * par.unsafe_share);
-      emit("parallel", threads, par);
+    PackResult r = RunPack(wl, total);
+    if (r.claimed != total) {
+      std::printf("%s: claimed %llu of %llu updates\n", mix.name,
+                  static_cast<unsigned long long>(r.claimed),
+                  static_cast<unsigned long long>(total));
+      return 1;
     }
-    bench::PrintRule();
+    double unsafe_share =
+        static_cast<double>(r.unsafe) / static_cast<double>(r.claimed);
+    std::printf("%-13s %10llu %12s %7.1f%% %8llu\n", mix.name,
+                static_cast<unsigned long long>(r.claimed),
+                bench::FmtOps(r.items_per_sec).c_str(), 100 * unsafe_share,
+                static_cast<unsigned long long>(r.epochs));
+    if (!first) json += ",\n";
+    first = false;
+    char buf[256];
+    std::snprintf(buf, sizeof(buf),
+                  "    {\"mix\": \"%s\", \"items_per_sec\": %.0f, "
+                  "\"claimed\": %llu, \"unsafe_share\": %.4f, "
+                  "\"epochs\": %llu}",
+                  mix.name, r.items_per_sec,
+                  static_cast<unsigned long long>(r.claimed), unsafe_share,
+                  static_cast<unsigned long long>(r.epochs));
+    json += buf;
   }
+  bench::PrintRule();
   json += "\n  ]\n}\n";
 
   const char* path = "BENCH_ingest_pack.json";

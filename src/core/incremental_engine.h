@@ -86,8 +86,8 @@ struct EngineOptions {
 /// Thread-safety contract (mirrors RisGraph's epoch loop): mutation entry
 /// points (OnInsert / OnDelete / Reset / SyncVertexCount) are single-writer;
 /// internally they fan out over the thread pool. The read-only classification
-/// helpers (IsInsertSafe / IsDeleteSafe) may be called concurrently with each
-/// other and with safe graph-store updates, but not with a mutation.
+/// helpers (IsInsertSafe / IsDeleteSafe) run on the epoch coordinator between
+/// mutations, never during one.
 template <MonotonicAlgorithm Algo, typename Store = DefaultGraphStore>
 class IncrementalEngine {
  public:
@@ -149,11 +149,9 @@ class IncrementalEngine {
   //===------------------------------------------------------------------===//
   // Safe/unsafe classification (paper Section 4) — read-only.
   //
-  // Thread-safety: both helpers only read the results arrays and the store;
-  // they may be called concurrently from any number of threads (the ingest
-  // packer fans a staged epoch's classification across the pool) and
-  // concurrently with safe graph-store updates on other edges, but never
-  // while a mutation entry point below is running.
+  // Both helpers only read the results arrays and the store; the ingest
+  // packer calls them in claim order before the epoch executes, never while
+  // a mutation entry point below is running.
   //===------------------------------------------------------------------===//
 
   /// An insertion is safe iff it cannot produce a better value for its

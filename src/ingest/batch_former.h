@@ -11,40 +11,30 @@
 #include "common/types.h"
 #include "ingest/ingest_queue.h"
 #include "ingest/session.h"
-#include "parallel/thread_pool.h"
 #include "runtime/risgraph.h"
 #include "shard/shard_router.h"
 
 namespace risgraph {
 
-/// Forms one epoch's batches from the sharded ingest queue as a two-stage
-/// pipeline (paper Section 4's classification, Figure 9's epoch schema):
+/// Forms one epoch's batches from the sharded ingest queue (paper Section
+/// 4's classification, Figure 9's epoch schema). Each packing pass:
 ///
 ///   1. *Bulk drain*: deferred items plus the shard rings are staged into one
 ///      flat buffer (IngestShard::TryPopBulk — one fence pair per run of
 ///      slots, not per item).
-///   2. *Pool-fanned classification*: the staged edge updates are classified
-///      speculatively in parallel across the thread pool, each worker
-///      calling the read-only RisGraph::IsUpdateSafe against current results
-///      with a zero duplicate-count delta.
-///   3. *Sequential reconciliation*: a short pass in claim order applies
-///      duplicate-count deltas and re-classifies exactly those updates whose
-///      speculative verdict a preceding in-epoch delta could invalidate — a
-///      deletion whose (src, dst, weight) key carries a nonzero pending
-///      delta. Everything else keeps its parallel verdict, so the result is
-///      bit-identical to classifying one item at a time.
+///   2. *Classify in claim order*: one pass over the stage calls the
+///      read-only RisGraph::IsUpdateSafe for each update against current
+///      results plus the in-epoch duplicate-count delta of its own
+///      (src, dst, weight) key, then folds a safe run's deltas so later
+///      same-key deletions see them.
 ///
-/// The reconciliation rule is exact, not heuristic: classification depends
-/// on (a) current results, which are frozen for the whole packing phase (no
-/// mutation runs until the epoch executes), and (b) the in-epoch
-/// duplicate-count delta of the update's own edge key, which is zero unless
-/// an earlier update in the same epoch touched that exact key. Insertions
-/// ignore the delta entirely; deletions consult it only to decide whether
-/// they remove the key's last duplicate.
+/// Classification depends on (a) current results, which are frozen for the
+/// whole packing phase (no mutation runs until the epoch executes), and (b)
+/// that dup-delta. Insertions ignore the delta entirely; deletions consult it
+/// only to decide whether they remove the key's last duplicate.
 ///
 /// Single-consumer: only the coordinator thread (epoch pipeline) drives this
-/// class; stage 2 is the one place it fans work out, and the workers only
-/// ever read. Sessions never see it — they only push ring items.
+/// class. Sessions never see it — they only push ring items.
 ///
 /// FIFO across epochs: when a session's pipelined stream hits an unsafe
 /// update, the rest of its stream is *next-epoch* (Figure 9's N class — an
@@ -52,25 +42,12 @@ namespace risgraph {
 /// Staged items of such a session are parked, still in order, and re-staged
 /// ahead of the rings once the epoch turns over.
 ///
-/// All per-epoch scratch (staging buffer, verdicts, batches, delta tables,
-/// deferred queues) is pre-sized at construction and reused; after warm-up a
-/// packing pass performs zero heap allocations (asserted by test_ingest_pack).
+/// All per-epoch scratch (staging buffer, batches, delta tables, deferred
+/// queues) is pre-sized at construction and reused; after warm-up a packing
+/// pass performs zero heap allocations (asserted by test_ingest_pack).
 template <typename Store>
 class BatchFormer {
  public:
-  struct Options {
-    /// Fan stage-2 classification across the pool once a pass stages at
-    /// least this many items; smaller passes (or a 1-thread pool) classify
-    /// inline — a pool fork-join costs tens of microseconds, which only
-    /// amortizes over a few hundred classifications. SIZE_MAX degenerates
-    /// to the sequential packer (bench baseline).
-    size_t parallel_threshold = 256;
-    /// Shard layer's routing map (shard/shard_router.h); when partitioned,
-    /// safe verdicts carry a shard tag so the pipeline's sharded safe phase
-    /// can fan blocking claims without re-routing them. Not owned.
-    const ShardRouter* router = nullptr;
-  };
-
   /// One claimed blocking request, or one unsafe pipelined update.
   struct Claimed {
     Session* session = nullptr;
@@ -118,12 +95,13 @@ class BatchFormer {
     size_t head_ = 0;
   };
 
+  /// `router` is the shard layer's routing map (shard/shard_router.h); when
+  /// partitioned, safe verdicts carry a shard tag so the pipeline's sharded
+  /// safe phase can fan blocking claims without re-routing them. Not owned;
+  /// nullptr = unpartitioned.
   BatchFormer(RisGraph<Store>& system, ShardedIngestQueue& queue,
-              ThreadPool* pool = nullptr, Options options = {})
-      : system_(system),
-        queue_(queue),
-        pool_(pool != nullptr ? pool : &ThreadPool::Global()),
-        options_(options) {
+              const ShardRouter* router = nullptr)
+      : system_(system), queue_(queue), router_(router) {
     size_t ring_total = 0;
     for (size_t i = 0; i < queue_.num_shards(); ++i) {
       ring_total += queue_.shard(i).capacity();
@@ -132,7 +110,6 @@ class BatchFormer {
     // parked; park volume is itself bounded by earlier ring drains, so 2x is
     // a comfortable steady-state ceiling (growth beyond it is amortized).
     staging_.reserve(2 * ring_total);
-    verdicts_.reserve(2 * ring_total);
     deferred_.reserve(ring_total);
     deferred_keep_.reserve(ring_total);
     safe_batch_.reserve(ring_total);
@@ -153,11 +130,11 @@ class BatchFormer {
 
   /// One packing pass: stages deferred items first, then bulk-drains the
   /// ingest shards (bounded to one ring's worth per shard so the caller can
-  /// consult the scheduler between passes), classifies the stage in
-  /// parallel, and reconciles sequentially in claim order. Classified WAL
-  /// payloads are appended to `wal_batch` in claim order for the epoch group
-  /// commit. Returns the number of items *claimed* this pass (0 = no
-  /// claimable work arrived). Items parked for the next epoch do not count:
+  /// consult the scheduler between passes), and classifies the stage in
+  /// claim order. Classified WAL payloads are appended to `wal_batch` in
+  /// claim order for the epoch group commit. Returns the number of items
+  /// *claimed* this pass (0 = no claimable work arrived). Items parked for
+  /// the next epoch do not count:
   /// a pass that only parks must not keep the packing loop spinning — ending
   /// the epoch sooner executes the unsafe update that froze the session, and
   /// ring backpressure re-engages while the coordinator is off executing.
@@ -192,38 +169,13 @@ class BatchFormer {
     queue_.DrainInto(staging_);
     if (staging_.empty()) return 0;
 
-    // --- Stage 2: pool-fanned speculative classification (delta-blind).
-    // Safe because current results are immutable for the whole packing
-    // phase and IsUpdateSafe is read-only (see the concurrent-classification
-    // contract in runtime/risgraph.h). Sequential mode skips this stage and
-    // lets reconciliation classify inline — the bench baseline, and the
-    // oracle for the equivalence test.
-    bool speculative = staging_.size() >= options_.parallel_threshold &&
-                       pool_->num_threads() > 1;
-    if (speculative) {
-      // cc_timer covers classification only (reconciliation's WAL copies
-      // and bookkeeping stay outside — Figure 11b reads this breakdown);
-      // the scope is the debug guard for the concurrent reads.
-      ScopedTimer tc(system_.cc_timer());
-      typename RisGraph<Store>::ClassificationScope scope(system_);
-      verdicts_.assign(staging_.size(), 0);
-      // Captures only `this`: fits std::function's inline storage, so the
-      // fan-out itself does not allocate.
-      pool_->ParallelFor(staging_.size(), 16,
-                         [this](size_t, uint64_t b, uint64_t e) {
-                           for (uint64_t i = b; i < e; ++i) {
-                             verdicts_[i] =
-                                 SpeculativeVerdict(staging_[i]) ? 1 : 0;
-                           }
-                         });
-    }
     // One timestamp per pass: claim_ns feeds latency stats and the
     // scheduler's earliest-wait heuristic, both of which operate at epoch
     // granularity — a per-item clock read is pure hot-path overhead.
     int64_t now = WallTimer::NowNanos();
 
-    // --- Stage 3: sequential reconciliation in claim order.
-    return Reconcile(now, wal_batch, speculative, unsafe_claim_limit);
+    // --- Stage 2: classification in claim order.
+    return Classify(now, wal_batch, unsafe_claim_limit);
   }
 
   std::vector<Claimed>& safe_batch() { return safe_batch_; }
@@ -260,30 +212,12 @@ class BatchFormer {
            u.kind == UpdateKind::kDeleteVertex;
   }
 
-  /// Delta-blind verdict for one staged item (stage 2, any pool thread).
-  /// Vertex operations are result-safe (category 1) but grow per-vertex
-  /// engine state, so they route through the sequential lane; read-write
-  /// transactions are unsafe by definition (their reads must observe an
-  /// isolated state).
-  bool SpeculativeVerdict(const IngestItem& item) const {
-    if (item.kind == IngestKind::kAsync) {
-      return !IsVertexOp(item.update) && system_.IsUpdateSafe(item.update, 0);
-    }
-    const Session& s = *item.session;
-    if (s.is_rw_) return false;
-    auto [ups, n] = UpdatesView(s);
-    for (size_t i = 0; i < n; ++i) {
-      if (IsVertexOp(ups[i]) || !system_.IsUpdateSafe(ups[i], 0)) return false;
-    }
-    return true;
-  }
-
   /// Delta-aware verdict over a run of updates, classified one at a time
-  /// against the current dup-delta table — the sequential packer, and the
-  /// fallback reconciliation re-runs when a pending delta could have flipped
-  /// a speculative verdict. Intra-run deltas are *not* folded (a
-  /// transaction's updates all classify against the table as of its claim;
-  /// folding happens only after an all-safe verdict).
+  /// against the current dup-delta table. Intra-run deltas are *not* folded
+  /// (a transaction's updates all classify against the table as of its
+  /// claim; folding happens only after an all-safe verdict). Vertex
+  /// operations are result-safe (category 1) but grow per-vertex engine
+  /// state, so they route through the sequential lane.
   bool SequentialVerdict(const Update* ups, size_t n) {
     ScopedTimer tc(system_.cc_timer());
     for (size_t i = 0; i < n; ++i) {
@@ -298,21 +232,6 @@ class BatchFormer {
     return true;
   }
 
-  /// Final verdict for staged item `i` covering updates [ups, ups+n): the
-  /// speculative verdict stands unless one of the updates is a deletion
-  /// whose key carries a nonzero pending delta — the only input stage 2
-  /// could not see — in which case the run is re-classified delta-aware.
-  bool FinalVerdict(size_t i, const Update* ups, size_t n, bool speculative) {
-    if (!speculative) return SequentialVerdict(ups, n);
-    for (size_t k = 0; k < n; ++k) {
-      if (ups[k].kind == UpdateKind::kDeleteEdge) {
-        const int64_t* d = dup_deltas_.Find(ups[k].edge);
-        if (d != nullptr && *d != 0) return SequentialVerdict(ups, n);
-      }
-    }
-    return verdicts_[i] != 0;
-  }
-
   /// A safe verdict folds the run's duplicate-count deltas into the epoch
   /// state (the run will execute this epoch, so later same-key deletions
   /// must see its effect — Section 4's classification is against the state
@@ -324,8 +243,8 @@ class BatchFormer {
     }
   }
 
-  uint64_t Reconcile(int64_t now, std::vector<Update>& wal_batch,
-                     bool speculative, uint64_t unsafe_claim_limit) {
+  uint64_t Classify(int64_t now, std::vector<Update>& wal_batch,
+                    uint64_t unsafe_claim_limit) {
     uint64_t found = 0;
     for (size_t i = 0; i < staging_.size(); ++i) {
       // Backpressure valve: with the unsafe queue at its limit, park the
@@ -368,12 +287,12 @@ class BatchFormer {
         bool safe = false;
         if (!s->is_rw_) {
           auto [ups, n] = UpdatesView(*s);
-          safe = FinalVerdict(i, ups, n, speculative);
+          safe = SequentialVerdict(ups, n);
           if (safe) {
             FoldDeltas(ups, n);
-            if (options_.router != nullptr && options_.router->Partitioned()) {
-              c.shard = s->is_txn_ ? options_.router->RouteMany(ups, n)
-                                   : options_.router->Route(*ups);
+            if (router_ != nullptr && router_->Partitioned()) {
+              c.shard = s->is_txn_ ? router_->RouteMany(ups, n)
+                                   : router_->Route(*ups);
             }
           }
           wal_batch.insert(wal_batch.end(), ups, ups + n);
@@ -388,7 +307,7 @@ class BatchFormer {
 
       // Pipelined update.
       const Update& u = item.update;
-      bool safe = FinalVerdict(i, &u, 1, speculative);
+      bool safe = SequentialVerdict(&u, 1);
       if (safe) FoldDeltas(&u, 1);
       wal_batch.push_back(u);
       if (safe) {
@@ -418,13 +337,10 @@ class BatchFormer {
 
   RisGraph<Store>& system_;
   ShardedIngestQueue& queue_;
-  ThreadPool* pool_;
-  Options options_;
+  const ShardRouter* router_;
 
-  // Per-pass staging: every item drained this pass, in claim order, plus the
-  // stage-2 verdict bits (1 = all updates safe at zero delta).
+  // Per-pass staging: every item drained this pass, in claim order.
   std::vector<IngestItem> staging_;
-  std::vector<uint8_t> verdicts_;
 
   std::vector<Claimed> safe_batch_;
   // Pipelined safe groups, pooled: BeginEpoch resets the count, the group

@@ -68,11 +68,6 @@ struct ServiceOptions {
   /// (shard/shard_router.h).
   size_t ingest_shards = 0;
   size_t ingest_shard_capacity = 4096;
-  /// Packing: fan classification across the thread pool once a packing pass
-  /// stages at least this many items (smaller passes classify inline, where
-  /// a fork-join would cost more than the lookups). SIZE_MAX forces the
-  /// sequential packer — the bench baseline and equivalence-test oracle.
-  size_t pack_parallel_threshold = 256;
   /// Shed-vs-block when a session's ingest ring is full (see OverloadPolicy).
   /// Consulted by the pipelined client lane (SessionClient, RPC server);
   /// the blocking lane always blocks.
@@ -137,9 +132,7 @@ class EpochPipeline {
         pool_(pool != nullptr ? pool : &ThreadPool::Global()),
         router_(MakeRouter(system)),
         queue_(RingShards(system, options), options.ingest_shard_capacity),
-        former_(system, queue_, pool_,
-                typename BatchFormer<Store>::Options{
-                    options.pack_parallel_threshold, &router_}) {
+        former_(system, queue_, &router_) {
     ring_capacity_ = queue_.shard(0).capacity();
     if (router_.Partitioned()) {
       shard_lanes_.resize(router_.num_shards());

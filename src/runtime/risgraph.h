@@ -1,8 +1,6 @@
 #ifndef RISGRAPH_RUNTIME_RISGRAPH_H_
 #define RISGRAPH_RUNTIME_RISGRAPH_H_
 
-#include <atomic>
-#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -80,10 +78,8 @@ class AlgorithmInstance {
   virtual const char* Name() const = 0;
   virtual VertexId Root() const = 0;
 
-  // Classification. Read-only and callable concurrently from many threads
-  // (the batch former's parallel classification stage), but never while a
-  // maintenance call below is running — see the concurrent-classification
-  // contract on RisGraph::IsUpdateSafe and IncrementalEngine.
+  // Classification. Read-only; the epoch pipeline calls it on the
+  // coordinator while no maintenance call below is running.
   virtual bool IsInsertSafe(const Edge& e) const = 0;
   virtual bool IsDeleteSafe(const Edge& e, bool removes_last) const = 0;
 
@@ -407,52 +403,18 @@ class RisGraph {
   //===------------------------------------------------------------------===//
   // Classification & raw apply — primitives for the epoch loop (Section 4).
   //
-  // Concurrent-classification contract: IsUpdateSafe / IsTxnSafe (and the
-  // per-algorithm IsInsertSafe / IsDeleteSafe they delegate to) are
-  // read-only over the store and the engines' current results. They may be
-  // called from any number of threads at once — this is what lets the batch
-  // former fan classification of a staged epoch across the thread pool —
-  // but never concurrently with a mutation (ApplyUnsafe, ApplyTxnUnsafe,
-  // ExecuteReadWrite, the Interactive API entry points, or ApplySafeToStore
-  // on an edge whose classification is in flight). The epoch pipeline
-  // upholds this by construction: the packing phase finishes before any
-  // update executes. Debug builds enforce it — parallel classification runs
-  // inside a ClassificationScope, and the mutation paths assert that no
-  // scope is active.
+  // IsUpdateSafe / IsTxnSafe (and the per-algorithm IsInsertSafe /
+  // IsDeleteSafe they delegate to) are read-only over the store and the
+  // engines' current results. The epoch pipeline classifies on the
+  // coordinator, in claim order, during the packing phase — before any
+  // update of the epoch executes — so classification never overlaps a
+  // mutation.
   //===------------------------------------------------------------------===//
-
-  /// RAII marker for a region of concurrent read-only classification.
-  /// Zero-cost in release builds; in debug builds, mutations assert that no
-  /// scope is live (AssertNoClassification).
-  class ClassificationScope {
-   public:
-    explicit ClassificationScope(const RisGraph& sys) {
-#ifndef NDEBUG
-      readers_ = &sys.classification_readers_;
-      readers_->fetch_add(1, std::memory_order_relaxed);
-#else
-      (void)sys;
-#endif
-    }
-    ~ClassificationScope() {
-#ifndef NDEBUG
-      readers_->fetch_sub(1, std::memory_order_relaxed);
-#endif
-    }
-    ClassificationScope(const ClassificationScope&) = delete;
-    ClassificationScope& operator=(const ClassificationScope&) = delete;
-
-#ifndef NDEBUG
-   private:
-    std::atomic<int>* readers_ = nullptr;
-#endif
-  };
 
   /// Safe iff safe for *every* maintained algorithm ("an update is safe only
   /// when it is safe for every algorithm"). `pending_dup_delta` adjusts the
   /// duplicate count for deletions classified behind other in-epoch updates
-  /// on the same key. Thread-safe under the concurrent-classification
-  /// contract above.
+  /// on the same key.
   bool IsUpdateSafe(const Update& u, int64_t pending_dup_delta = 0) const {
     switch (u.kind) {
       case UpdateKind::kInsertVertex:
@@ -642,18 +604,8 @@ class RisGraph {
     return ver;
   }
 
-  // The mutation side of the concurrent-classification contract: no
-  // classification scope may be live while store or engine state changes.
-  void AssertNoClassification() const {
-#ifndef NDEBUG
-    assert(classification_readers_.load(std::memory_order_relaxed) == 0 &&
-           "mutation while concurrent classification is in flight");
-#endif
-  }
-
   // Returns true if any algorithm's results changed (=> new version needed).
   bool ApplyToStoreAndEngines(const Update& u) {
-    AssertNoClassification();
     switch (u.kind) {
       case UpdateKind::kInsertEdge: {
         {
@@ -728,9 +680,6 @@ class RisGraph {
   ResultChangeSink* change_sink_ = nullptr;
   /// Scratch for PublishCommittedAll's committed-value capture (reused).
   std::vector<uint64_t> sink_values_;
-#ifndef NDEBUG
-  mutable std::atomic<int> classification_readers_{0};
-#endif
 
   ComponentTimer upd_eng_timer_;
   ComponentTimer cmp_eng_timer_;

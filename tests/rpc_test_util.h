@@ -2,20 +2,35 @@
 #define RISGRAPH_TESTS_RPC_TEST_UTIL_H_
 
 // Raw-socket helpers for protocol-level RPC tests: hand-rolled v2 peers that
-// frame, handshake, and probe the server without going through RpcClient.
-// Shared by tests/test_rpc.cc and tests/test_rpc_fuzz.cc.
+// frame, handshake, and probe the server without going through RpcClient;
+// plus the per-subscription projection RPC notification streams are
+// compared under. Shared by the RPC and subscription tests.
 
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "net/rpc_protocol.h"
+#include "subscribe/subscription.h"
 
 namespace risgraph::testutil {
+
+/// The stream grouped by subscription id, each subscription's notifications
+/// in delivery order. IClient promises only per-subscription order; over RPC
+/// the interleaving across subscriptions depends on push timing.
+inline std::vector<Notification> PerSubscription(
+    std::vector<Notification> stream) {
+  std::stable_sort(stream.begin(), stream.end(),
+                   [](const Notification& a, const Notification& b) {
+                     return a.subscription_id < b.subscription_id;
+                   });
+  return stream;
+}
 
 inline int RawConnect(const std::string& path) {
   int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);

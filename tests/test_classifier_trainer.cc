@@ -6,6 +6,7 @@
 #include "core/algorithm_api.h"
 #include "core/incremental_engine.h"
 #include "core/reference.h"
+#include "parallel/thread_pool.h"
 #include "storage/graph_store.h"
 #include "workload/rmat.h"
 #include "workload/update_stream.h"
@@ -102,6 +103,10 @@ TEST(OnlineClassifierTrainer, IgnoresInvalidObservations) {
 // Integration: an engine driven by the trainer still computes exact results
 // while the trainer accumulates real observations.
 TEST(OnlineClassifierTrainer, EngineIntegrationStaysCorrect) {
+  // 1-thread pool: with more workers the number of push steps (and so of
+  // trainer decisions) depends on thread interleaving, and under load the
+  // few steps this stream takes can all miss the exploration draw.
+  ThreadPool::ResetGlobal(1);
   RmatParams rp;
   rp.scale = 9;
   rp.num_edges = 6000;
@@ -138,6 +143,7 @@ TEST(OnlineClassifierTrainer, EngineIntegrationStaysCorrect) {
     ASSERT_EQ(engine.Value(v), ref[v]) << v;
   }
   EXPECT_GT(trainer.explore_count() + trainer.labeled_cells(), 0u);
+  ThreadPool::ResetGlobal(0);
 }
 
 }  // namespace

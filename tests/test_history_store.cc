@@ -3,7 +3,7 @@
 #include "core/algorithm_api.h"
 #include "core/incremental_engine.h"
 #include "history/history_store.h"
-#include "runtime/scheduler.h"
+#include "ingest/scheduler.h"
 #include "storage/graph_store.h"
 
 namespace risgraph {

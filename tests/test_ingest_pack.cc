@@ -1,4 +1,4 @@
-// The two-stage epoch packer (ingest/batch_former.h):
+// The epoch packer (ingest/batch_former.h):
 //   * FlatMap/FlatSet open-addressing tables — probe-collision handling,
 //     O(1) generation clears, full-key comparison;
 //   * IngestShard::TryPopBulk / ShardedIngestQueue::DrainInto — bulk drains
@@ -6,11 +6,14 @@
 //   * dup-delta regression: two distinct edges engineered to collide under
 //     the old 64-bit mixed DeltaKey must NOT share a duplicate-count delta
 //     (the old table misclassified the deletion of a tree edge as safe);
-//   * classification equivalence: randomized multi-session streams packed by
-//     the sequential packer and the pool-fanned parallel packer produce
-//     identical verdicts, WAL order, and result versions, epoch by epoch;
-//   * end-to-end: the full pipeline with parallel packing forced on matches
-//     a serial per-session replay (FIFO effects, counters, recompute);
+//   * reference-checked classification: randomized multi-session streams
+//     over a small key space (frequent same-key collisions in one epoch)
+//     leave every result equal to a from-scratch recompute once each
+//     epoch's safe groups apply — a wrong safe verdict or a dropped
+//     dup-delta shows up as a stale value — and end bit-identical to a
+//     serial replay of the executed order;
+//   * end-to-end: the full pipeline matches a serial per-session replay
+//     (FIFO effects, counters, recompute);
 //   * steady-state packing performs zero heap allocations per epoch
 //     (counting global allocator).
 
@@ -222,12 +225,10 @@ struct VerdictRec {
 class PackHarness {
  public:
   PackHarness(RisGraph<>& sys, size_t num_sessions, size_t shards,
-              size_t shard_capacity, size_t parallel_threshold,
-              ThreadPool* pool)
+              size_t shard_capacity)
       : sys_(sys),
         queue_(shards, shard_capacity),
-        former_(sys, queue_, pool, {parallel_threshold}),
-        num_sessions_(num_sessions),
+        former_(sys, queue_),
         sessions_(new Session[num_sessions]) {}
 
   bool PushAsync(size_t session, const Update& u) {
@@ -237,12 +238,8 @@ class PackHarness {
 
   /// One epoch: pack everything claimable, then execute safe groups followed
   /// by the unsafe lane (the pipeline's order). Returns items claimed.
-  uint64_t RunEpoch(std::vector<VerdictRec>* log,
-                    std::vector<Update>* wal_out = nullptr) {
+  uint64_t RunEpoch(std::vector<VerdictRec>* log) {
     uint64_t found = RunEpochPackOnly();
-    if (wal_out != nullptr) {
-      wal_out->insert(wal_out->end(), wal_.begin(), wal_.end());
-    }
     ExecutePending(log);
     return found;
   }
@@ -256,12 +253,20 @@ class PackHarness {
   }
 
   void ExecutePending(std::vector<VerdictRec>* log = nullptr) {
+    ApplySafeGroups(log);
+    DrainUnsafe(log);
+  }
+
+  void ApplySafeGroups(std::vector<VerdictRec>* log) {
     for (auto& g : former_.async_safe()) {
       for (const Update& u : g.updates) {
         if (log != nullptr) log->push_back({Index(g.session), u, true});
         sys_.ApplySafeToStore(u);
       }
     }
+  }
+
+  void DrainUnsafe(std::vector<VerdictRec>* log) {
     auto& unsafe_queue = former_.unsafe_queue();
     while (!unsafe_queue.empty()) {
       auto c = unsafe_queue.front();
@@ -282,7 +287,6 @@ class PackHarness {
   ShardedIngestQueue queue_;
   BatchFormer<DefaultGraphStore> former_;
   std::vector<Update> wal_;
-  size_t num_sessions_;
   std::unique_ptr<Session[]> sessions_;
 };
 
@@ -328,74 +332,81 @@ TEST(IngestPack, DupDeltaKeysOnFullTupleNotHash) {
   ASSERT_EQ(OldDeltaKey(collider), OldDeltaKey(tree));
   ASSERT_NE(collider, tree);
 
-  ThreadPool pool(4);
-  for (size_t threshold : {~size_t{0}, size_t{1}}) {  // sequential, parallel
-    RisGraph<> sys(4, NoHistory());
-    size_t bfs = sys.AddAlgorithm<Bfs>(0);
-    sys.LoadGraph({tree});
-    sys.InitializeResults();
+  RisGraph<> sys(4, NoHistory());
+  size_t bfs = sys.AddAlgorithm<Bfs>(0);
+  sys.LoadGraph({tree});
+  sys.InitializeResults();
 
-    PackHarness h(sys, /*sessions=*/1, /*shards=*/1, /*capacity=*/16,
-                  threshold, &pool);
-    ASSERT_TRUE(h.PushAsync(0, Update::InsertEdge(collider.src, collider.dst,
-                                                  collider.weight)));
-    ASSERT_TRUE(
-        h.PushAsync(0, Update::DeleteEdge(tree.src, tree.dst, tree.weight)));
+  PackHarness h(sys, /*sessions=*/1, /*shards=*/1, /*capacity=*/16);
+  ASSERT_TRUE(h.PushAsync(0, Update::InsertEdge(collider.src, collider.dst,
+                                                collider.weight)));
+  ASSERT_TRUE(
+      h.PushAsync(0, Update::DeleteEdge(tree.src, tree.dst, tree.weight)));
 
-    std::vector<VerdictRec> log;
-    EXPECT_EQ(h.RunEpoch(&log), 2u);
-    ASSERT_EQ(log.size(), 2u);
-    EXPECT_TRUE(log[0].safe) << "insert of the colliding edge is safe";
-    EXPECT_FALSE(log[1].safe)
-        << "deletion of the last duplicate of a tree edge must be unsafe "
-           "even when another edge collides with it in the delta table";
+  std::vector<VerdictRec> log;
+  EXPECT_EQ(h.RunEpoch(&log), 2u);
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_TRUE(log[0].safe) << "insert of the colliding edge is safe";
+  EXPECT_FALSE(log[1].safe)
+      << "deletion of the last duplicate of a tree edge must be unsafe "
+         "even when another edge collides with it in the delta table";
 
-    // The unsafe lane recomputed: results match a from-scratch reference.
-    auto ref = ReferenceCompute<Bfs>(sys.store(), 0);
-    for (VertexId v = 0; v < 4; ++v) {
-      EXPECT_EQ(sys.GetValue(bfs, v), ref[v]) << v;
-    }
+  // The unsafe lane recomputed: results match a from-scratch reference.
+  auto ref = ReferenceCompute<Bfs>(sys.store(), 0);
+  for (VertexId v = 0; v < 4; ++v) {
+    EXPECT_EQ(sys.GetValue(bfs, v), ref[v]) << v;
   }
 }
 
 //===--------------------------------------------------------------------===//
-// Sequential / parallel classification equivalence
+// Reference-checked classification under same-key collisions
 //===--------------------------------------------------------------------===//
 
-TEST(IngestPack, ParallelVerdictsMatchSequential) {
+// Safe updates cannot change any result, so once an epoch's safe groups are
+// in the store (and before its unsafe lane runs) every value must still
+// equal a from-scratch recompute over that store. A safe verdict on an
+// update that does change a result — including a deletion that missed a
+// preceding same-key delta and so did not see it removes the last
+// duplicate of a tree edge — leaves a stale value behind.
+TEST(IngestPack, VerdictsKeepResultsEqualToReference) {
   constexpr size_t kSessions = 4;
   constexpr uint64_t kVertices = 16;
   constexpr Weight kMaxWeight = 2;
   constexpr int kEpochs = 40;
   constexpr int kPerEpoch = 200;
+  const std::vector<Edge> preload{{0, 1, 1}, {0, 2, 1}, {1, 3, 1}, {2, 4, 2}};
 
-  ThreadPool pool(4);
   for (uint64_t seed : {11u, 22u, 33u}) {
-    RisGraph<> seq_sys(kVertices, NoHistory());
-    RisGraph<> par_sys(kVertices, NoHistory());
-    for (auto* sys : {&seq_sys, &par_sys}) {
-      sys->AddAlgorithm<Bfs>(0);
-      sys->AddAlgorithm<Sssp>(0);
-      sys->LoadGraph({{0, 1, 1}, {0, 2, 1}, {1, 3, 1}, {2, 4, 2}});
-      sys->InitializeResults();
-    }
+    RisGraph<> sys(kVertices, NoHistory());
+    size_t bfs = sys.AddAlgorithm<Bfs>(0);
+    size_t sssp = sys.AddAlgorithm<Sssp>(0);
+    sys.LoadGraph(preload);
+    sys.InitializeResults();
+    PackHarness h(sys, kSessions, 2, 1024);
 
-    PackHarness seq(seq_sys, kSessions, 2, 1024, ~size_t{0}, &pool);
-    PackHarness par(par_sys, kSessions, 2, 1024, /*threshold=*/1, &pool);
+    auto expect_reference = [&](const char* where) {
+      auto bfs_ref = ReferenceCompute<Bfs>(sys.store(), 0);
+      auto sssp_ref = ReferenceCompute<Sssp>(sys.store(), 0);
+      for (VertexId v = 0; v < kVertices; ++v) {
+        ASSERT_EQ(sys.GetValue(bfs, v), bfs_ref[v]) << where << " bfs v " << v;
+        ASSERT_EQ(sys.GetValue(sssp, v), sssp_ref[v])
+            << where << " sssp v " << v;
+      }
+    };
 
     Rng rng(seed);
+    std::vector<VerdictRec> executed;  // every update, in execution order
     uint64_t safe_seen = 0;
     uint64_t unsafe_seen = 0;
-    auto run_epoch_pair = [&] {
-      std::vector<VerdictRec> seq_log, par_log;
-      std::vector<Update> seq_wal, par_wal;
-      uint64_t seq_found = seq.RunEpoch(&seq_log, &seq_wal);
-      uint64_t par_found = par.RunEpoch(&par_log, &par_wal);
-      ASSERT_EQ(seq_found, par_found);
-      ASSERT_EQ(seq_wal, par_wal);  // claim order is part of the contract
-      ASSERT_EQ(seq_log, par_log);
-      ASSERT_EQ(seq_sys.GetCurrentVersion(), par_sys.GetCurrentVersion());
-      for (const VerdictRec& r : seq_log) (r.safe ? safe_seen : unsafe_seen)++;
+    auto run_epoch = [&] {
+      std::vector<VerdictRec> log;
+      h.RunEpochPackOnly();
+      h.ApplySafeGroups(&log);
+      expect_reference("after safe groups");
+      h.DrainUnsafe(&log);
+      expect_reference("after unsafe lane");
+      for (const VerdictRec& r : log) (r.safe ? safe_seen : unsafe_seen)++;
+      executed.insert(executed.end(), log.begin(), log.end());
     };
 
     for (int e = 0; e < kEpochs; ++e) {
@@ -405,45 +416,52 @@ TEST(IngestPack, ParallelVerdictsMatchSequential) {
         VertexId b = rng.NextBounded(kVertices);
         Weight w = 1 + rng.NextBounded(kMaxWeight);
         // Small key space: same-key collisions within an epoch are common,
-        // exercising the dup-delta reconciliation path. Occasionally insert
-        // and immediately delete the same key through the same session.
+        // exercising the dup-delta table. Occasionally insert and
+        // immediately delete the same key through the same session.
         Update u = rng.NextBool(0.55) ? Update::InsertEdge(a, b, w)
                                       : Update::DeleteEdge(a, b, w);
-        ASSERT_TRUE(seq.PushAsync(c, u));
-        ASSERT_TRUE(par.PushAsync(c, u));
+        ASSERT_TRUE(h.PushAsync(c, u));
         if (u.kind == UpdateKind::kInsertEdge && rng.NextBool(0.3)) {
-          Update del = Update::DeleteEdge(a, b, w);
-          ASSERT_TRUE(seq.PushAsync(c, del));
-          ASSERT_TRUE(par.PushAsync(c, del));
+          ASSERT_TRUE(h.PushAsync(c, Update::DeleteEdge(a, b, w)));
           ++i;
         }
       }
-      run_epoch_pair();
+      run_epoch();
     }
     // Drain parked (next-epoch) items.
-    for (int e = 0; e < 64 && (seq.HasDeferred() || par.HasDeferred()); ++e) {
-      run_epoch_pair();
-    }
-    ASSERT_FALSE(seq.HasDeferred());
-    ASSERT_FALSE(par.HasDeferred());
+    for (int e = 0; e < 64 && h.HasDeferred(); ++e) run_epoch();
+    ASSERT_FALSE(h.HasDeferred());
 
     // The randomized mix must have exercised both classes.
     EXPECT_GT(safe_seen, 0u);
     EXPECT_GT(unsafe_seen, 0u);
 
-    // Final stores and results are identical.
+    // A serial replay of the executed order through the Interactive API
+    // (classify + apply one update at a time) ends in the same store and
+    // the same results.
+    RisGraph<> oracle(kVertices, NoHistory());
+    oracle.AddAlgorithm<Bfs>(0);
+    oracle.AddAlgorithm<Sssp>(0);
+    oracle.LoadGraph(preload);
+    oracle.InitializeResults();
+    for (const VerdictRec& r : executed) {
+      const Edge& e = r.update.edge;
+      r.update.kind == UpdateKind::kInsertEdge
+          ? oracle.InsEdge(e.src, e.dst, e.weight)
+          : oracle.DelEdge(e.src, e.dst, e.weight);
+    }
     for (VertexId a = 0; a < kVertices; ++a) {
       for (VertexId b = 0; b < kVertices; ++b) {
         for (Weight w = 1; w <= kMaxWeight; ++w) {
-          ASSERT_EQ(seq_sys.store().EdgeCount(a, EdgeKey{b, w}),
-                    par_sys.store().EdgeCount(a, EdgeKey{b, w}))
+          ASSERT_EQ(sys.store().EdgeCount(a, EdgeKey{b, w}),
+                    oracle.store().EdgeCount(a, EdgeKey{b, w}))
               << a << "->" << b << " w" << w;
         }
       }
     }
     for (size_t algo = 0; algo < 2; ++algo) {
       for (VertexId v = 0; v < kVertices; ++v) {
-        ASSERT_EQ(seq_sys.GetValue(algo, v), par_sys.GetValue(algo, v))
+        ASSERT_EQ(sys.GetValue(algo, v), oracle.GetValue(algo, v))
             << "algo " << algo << " v " << v;
       }
     }
@@ -451,10 +469,10 @@ TEST(IngestPack, ParallelVerdictsMatchSequential) {
 }
 
 //===--------------------------------------------------------------------===//
-// End-to-end: full pipeline with parallel packing forced on
+// End-to-end: full pipeline
 //===--------------------------------------------------------------------===//
 
-TEST(IngestPack, PipelineWithParallelPackerMatchesSerialReplay) {
+TEST(IngestPack, PipelineMatchesSerialReplay) {
   constexpr uint64_t kBlock = 16;
   constexpr int kSessions = 6;  // 3 pipelined + 3 blocking
   constexpr uint64_t kVertices = 1 + kSessions * kBlock;
@@ -473,7 +491,6 @@ TEST(IngestPack, PipelineWithParallelPackerMatchesSerialReplay) {
   ServiceOptions opt;
   opt.ingest_shards = 2;
   opt.ingest_shard_capacity = 256;
-  opt.pack_parallel_threshold = 1;  // always classify on the pool
   RisGraphService<> service(sys, opt, &pool);
   std::vector<Session*> sessions;
   for (int i = 0; i < kSessions; ++i) sessions.push_back(service.OpenSession());
@@ -552,8 +569,7 @@ TEST(IngestPack, PipelineWithParallelPackerMatchesSerialReplay) {
   EXPECT_GT(service.unsafe_ops(), 0u);
 
   // Serial per-session replay oracle (blocks are disjoint, so only
-  // per-session order matters — exactly what the parallel packer must
-  // preserve).
+  // per-session order matters — exactly what the packer must preserve).
   RisGraph<> oracle(kVertices);
   oracle.AddAlgorithm<Bfs>(0);
   oracle.LoadGraph(preload);
@@ -671,53 +687,48 @@ TEST(IngestPack, SteadyStatePackingAllocatesNothing) {
   constexpr uint64_t kVertices = 32;
   constexpr int kPerEpoch = 128;
 
-  ThreadPool pool(2);
-  for (size_t threshold : {~size_t{0}, size_t{1}}) {  // sequential, parallel
-    RisGraph<> sys(kVertices, NoHistory());
-    sys.AddAlgorithm<Bfs>(0);
-    sys.LoadGraph({{0, 1, 1}, {0, 2, 1}});
-    sys.InitializeResults();
-    PackHarness h(sys, /*sessions=*/4, /*shards=*/2, /*capacity=*/1024,
-                  threshold, &pool);
+  RisGraph<> sys(kVertices, NoHistory());
+  sys.AddAlgorithm<Bfs>(0);
+  sys.LoadGraph({{0, 1, 1}, {0, 2, 1}});
+  sys.InitializeResults();
+  PackHarness h(sys, /*sessions=*/4, /*shards=*/2, /*capacity=*/1024);
 
-    Rng rng(7);
-    // Identical per-epoch load shape: insert a key set one epoch, delete it
-    // the next, so capacities stabilize during warm-up.
-    std::vector<Edge> keys;
-    for (int i = 0; i < kPerEpoch; ++i) {
-      keys.push_back(Edge{rng.NextBounded(kVertices),
-                          rng.NextBounded(kVertices),
-                          1 + rng.NextBounded(2)});
-    }
-    auto push_epoch = [&](bool inserts) {
-      for (int i = 0; i < kPerEpoch; ++i) {
-        const Edge& e = keys[i];
-        Update u = inserts ? Update::InsertEdge(e.src, e.dst, e.weight)
-                           : Update::DeleteEdge(e.src, e.dst, e.weight);
-        ASSERT_TRUE(h.PushAsync(i % 4, u));
-      }
-    };
-
-    // Warm-up: let every scratch structure reach steady-state capacity.
-    for (int e = 0; e < 20; ++e) {
-      push_epoch(e % 2 == 0);
-      h.RunEpoch(nullptr);
-    }
-
-    // Measured phase: the pack path (BeginEpoch + PackOnce, inside
-    // RunEpoch before execution) must not allocate. Execution and pushes
-    // stay outside the measured windows.
-    uint64_t allocs = 0;
-    for (int e = 0; e < 10; ++e) {
-      push_epoch(e % 2 == 0);
-      uint64_t before = g_news.load(std::memory_order_relaxed);
-      h.RunEpochPackOnly();
-      allocs += g_news.load(std::memory_order_relaxed) - before;
-      h.ExecutePending();
-    }
-    EXPECT_EQ(allocs, 0u) << (threshold == 1 ? "parallel" : "sequential")
-                          << " packer allocated in steady state";
+  Rng rng(7);
+  // Identical per-epoch load shape: insert a key set one epoch, delete it
+  // the next, so capacities stabilize during warm-up.
+  std::vector<Edge> keys;
+  for (int i = 0; i < kPerEpoch; ++i) {
+    keys.push_back(Edge{rng.NextBounded(kVertices),
+                        rng.NextBounded(kVertices),
+                        1 + rng.NextBounded(2)});
   }
+  auto push_epoch = [&](bool inserts) {
+    for (int i = 0; i < kPerEpoch; ++i) {
+      const Edge& e = keys[i];
+      Update u = inserts ? Update::InsertEdge(e.src, e.dst, e.weight)
+                         : Update::DeleteEdge(e.src, e.dst, e.weight);
+      ASSERT_TRUE(h.PushAsync(i % 4, u));
+    }
+  };
+
+  // Warm-up: let every scratch structure reach steady-state capacity.
+  for (int e = 0; e < 20; ++e) {
+    push_epoch(e % 2 == 0);
+    h.RunEpoch(nullptr);
+  }
+
+  // Measured phase: the pack path (BeginEpoch + PackOnce, inside
+  // RunEpoch before execution) must not allocate. Execution and pushes
+  // stay outside the measured windows.
+  uint64_t allocs = 0;
+  for (int e = 0; e < 10; ++e) {
+    push_epoch(e % 2 == 0);
+    uint64_t before = g_news.load(std::memory_order_relaxed);
+    h.RunEpochPackOnly();
+    allocs += g_news.load(std::memory_order_relaxed) - before;
+    h.ExecutePending();
+  }
+  EXPECT_EQ(allocs, 0u) << "packer allocated in steady state";
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // drain heuristics and the adaptive-threshold dynamics (+1% on qualified
 // epochs, -10% on missed ones, re-tuned every 3 epochs).
 
-#include "runtime/scheduler.h"
+#include "ingest/scheduler.h"
 
 #include <gtest/gtest.h>
 

@@ -323,9 +323,9 @@ struct DriveOutcome {
 /// unsharded safe phase -> sequential unsafe lane) with ONE pipelined
 /// session plus a tail of blocking transactions. A single session keeps the
 /// claim order equal to the submission order whatever the epoch boundaries
-/// land on, and the packer's reconciliation guarantees verdicts identical to
-/// one-at-a-time classification — so with a 1-thread pool the outcome is a
-/// pure function of the workload, and must not depend on the shard count.
+/// land on, and the packer classifies one item at a time in claim order —
+/// so with a 1-thread pool the outcome is a pure function of the workload,
+/// and must not depend on the shard count.
 template <typename Store>
 DriveOutcome DriveWorkload(const StreamWorkload& wl, uint32_t num_shards,
                            std::shared_ptr<const PartitionMap> map = nullptr,

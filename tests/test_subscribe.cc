@@ -16,6 +16,7 @@
 #include <chrono>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/algorithm_api.h"
@@ -515,12 +516,15 @@ TEST(NotificationInvarianceTest, BitIdenticalStreamsAcrossShardsAndTransports) {
     EXPECT_EQ(got.version, base.version);
     ASSERT_EQ(got.stream, base.stream);
   }
-  // The RPC transport: same IClient surface, same streams.
+  // The RPC transport: same IClient surface, same per-subscription streams
+  // (pushes from different subscriptions may interleave differently).
+  const std::vector<Notification> base_per_sub =
+      testutil::PerSubscription(base.stream);
   for (size_t ingest_shards : {1u, 2u, 4u}) {
     SCOPED_TRACE("rpc ingest_shards=" + std::to_string(ingest_shards));
     NotifyOutcome got = DriveOverRpc(wl, ingest_shards);
     EXPECT_EQ(got.version, base.version);
-    ASSERT_EQ(got.stream, base.stream);
+    ASSERT_EQ(testutil::PerSubscription(std::move(got.stream)), base_per_sub);
   }
 
   ThreadPool::ResetGlobal(0);

@@ -9,9 +9,11 @@
 // Classification cost is made realistic by maintaining all four paper
 // algorithms (an update is safe only if it is safe for *every* algorithm).
 //
-// Each mix packs a fixed number of updates (cycled from its stream), scaled
-// by RISGRAPH_SECONDS like bench_fig11b_breakdown, so every run of a mix
-// packs the same work; the run fails unless every pushed update is claimed.
+// Each mix packs a fixed number of updates, scaled by RISGRAPH_SECONDS like
+// bench_fig11b_breakdown, so every run of a mix packs the same work. The graph
+// is sized so the stream holds that many updates at the mix's ratio without
+// replaying itself (a replay would delete edges already gone). The run fails
+// unless every pushed update is claimed.
 //
 // Writes BENCH_ingest_pack.json next to the binary for the perf trajectory.
 
@@ -44,7 +46,11 @@ struct PackResult {
   uint64_t epochs = 0;
 };
 
-PackResult RunPack(const StreamWorkload& wl, uint64_t total) {
+// Passes in a row that claim nothing after which the run gives up: one pass
+// that only parks is normal, a run of them means updates were lost.
+constexpr int kMaxIdlePasses = 64;
+
+PackResult RunPack(const StreamWorkload& wl) {
   RisGraph<> sys(wl.num_vertices);
   sys.AddAlgorithm<Bfs>(0);
   sys.AddAlgorithm<Sssp>(0);
@@ -60,14 +66,17 @@ PackResult RunPack(const StreamWorkload& wl, uint64_t total) {
   wal.reserve(kShards * kShardCapacity);
 
   const std::vector<Update>& stream = wl.updates;
+  const uint64_t total = stream.size();
   uint64_t cursor = 0;
   PackResult r;
   int64_t pack_ns = 0;
   uint64_t refill_budget = 2048;
+  int idle_passes = 0;
   // Parked items are claimed by a later pass, so the loop ends once every
   // pushed update has been claimed (a pass that only parks claims nothing
-  // but still turns the epoch over, which unfreezes its sessions).
-  while (r.claimed < total) {
+  // but still turns the epoch over, which unfreezes its sessions), or after
+  // kMaxIdlePasses passes in a row that claim nothing.
+  while (r.claimed < total && idle_passes < kMaxIdlePasses) {
     // Refill the rings (producer cost, excluded from the measurement),
     // bounded near the claim rate so the parked backlog stays a window, not
     // a flood.
@@ -76,7 +85,7 @@ PackResult RunPack(const StreamWorkload& wl, uint64_t total) {
       size_t s = cursor % kSessions;
       if (!queue.shard(s % kShards)
                .TryPush(IngestItem{IngestKind::kAsync, &sessions[s],
-                                   stream[cursor % stream.size()]})) {
+                                   stream[cursor]})) {
         break;
       }
       ++cursor;
@@ -87,6 +96,7 @@ PackResult RunPack(const StreamWorkload& wl, uint64_t total) {
     uint64_t claimed = former.PackOnce(wal);
     pack_ns += WallTimer::NowNanos() - t0;
     r.claimed += claimed;
+    idle_passes = claimed == 0 ? idle_passes + 1 : 0;
     ++r.epochs;
     refill_budget = claimed + 1024;
     // Execute the epoch outside the timed window (safe phase, then the
@@ -116,11 +126,20 @@ int main() {
                     "claim-order classification; paper Sections 4-5, "
                     "Figure 9");
 
+  // Fixed work per mix; RISGRAPH_SECONDS scales it (default 1.0 = 200k).
+  const uint64_t total = std::max<uint64_t>(
+      10000, static_cast<uint64_t>(env.seconds * 200000));
+
+  // Half the edges are preloaded and half are stream material, so each of
+  // the insert and delete pools holds half the edges: 2 x total edges cover
+  // `total` updates at any insert share.
   RmatParams rmat;
-  rmat.scale = 13;
-  rmat.num_edges = 12 * (uint64_t{1} << rmat.scale);
+  rmat.scale = 15;
+  rmat.num_edges = std::max<uint64_t>(12 * (uint64_t{1} << rmat.scale),
+                                      2 * total);
   StreamOptions so;
-  so.preload_fraction = 0.5;  // half the edges stay as stream material
+  so.preload_fraction = 0.5;
+  so.max_updates = total;
 
   struct Mix {
     const char* name;
@@ -129,10 +148,6 @@ int main() {
   // Deletions force a duplicate-count lookup plus per-algorithm tree checks,
   // so the mixed stream is the classification-heavy case.
   const Mix mixes[] = {{"mixed", 0.5}, {"insert_heavy", 0.9}};
-  // Fixed work per mix; RISGRAPH_SECONDS scales it (default 1.0 = 200k).
-  const uint64_t total = std::max<uint64_t>(
-      10000, static_cast<uint64_t>(env.seconds * 200000));
-
   std::string json = "{\n  \"bench\": \"ingest_pack\",\n";
   json += "  \"hardware_concurrency\": " +
           std::to_string(std::thread::hardware_concurrency()) + ",\n";
@@ -144,8 +159,8 @@ int main() {
     so.insert_fraction = mix.insert_fraction;
     StreamWorkload wl = BuildStream(uint64_t{1} << rmat.scale,
                                     GenerateRmat(rmat), so);
-    PackResult r = RunPack(wl, total);
-    if (r.claimed != total) {
+    PackResult r = RunPack(wl);
+    if (wl.updates.size() != total || r.claimed != total) {
       std::printf("%s: claimed %llu of %llu updates\n", mix.name,
                   static_cast<unsigned long long>(r.claimed),
                   static_cast<unsigned long long>(total));

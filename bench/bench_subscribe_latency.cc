@@ -52,12 +52,11 @@ class Harness {
  public:
   static constexpr uint64_t kVertices = 1 << 14;
 
-  explicit Harness(size_t extra_clients = 0,
-                   SubscriptionRegistry::Options reg_options = {}) {
+  explicit Harness(size_t extra_clients = 0) {
     sys_ = std::make_unique<RisGraph<>>(kVertices);
     bfs_ = sys_->AddAlgorithm<Bfs>(0);
     sys_->InitializeResults();
-    registry_ = std::make_unique<SubscriptionRegistry>(reg_options);
+    registry_ = std::make_unique<SubscriptionRegistry>();
     publisher_ = std::make_unique<ChangePublisher>(*registry_);
     service_ = std::make_unique<RisGraphService<>>(*sys_);
     service_->AttachPublisher(publisher_.get());
@@ -189,18 +188,17 @@ ThroughputRow MeasureFanout(size_t subscribers, double seconds) {
   return row;
 }
 
-//===--- Subscriber-count sweep: the index vs the scan ------------------------//
+//===--- Subscriber-count sweep ------------------------------------------------//
 
-/// The PR-9 question: what does one committed batch cost to MATCH as the
-/// standing-query count walks into 10^4-10^5? `count` single-vertex
-/// subscriptions spread over the vertex range, then a closed update->notify
-/// loop over watched vertices. Each update is one epoch => one sealed batch
-/// of one change, so match-time-per-batch isolates the matcher itself:
-///   scan     — every batch walks all `count` subscriptions;
-///   indexed  — every batch probes one posting list (~count/|V| entries).
+/// What does one committed batch cost to MATCH as the standing-query count
+/// walks into 10^4-10^5? `count` single-vertex subscriptions spread over the
+/// vertex range, then a closed update->notify loop over watched vertices.
+/// Each update is one epoch => one sealed batch of one change, so
+/// match-time-per-batch isolates the matcher itself: every batch probes one
+/// posting list (~count/|V| entries), where a scan would walk all `count`
+/// subscriptions (scan_equivalent_pairs records what that would examine).
 struct SweepRow {
   size_t subscriptions = 0;
-  bool indexed = false;
   uint64_t batches = 0;
   double match_us_per_batch = 0;
   uint64_t candidate_pairs = 0;
@@ -209,10 +207,8 @@ struct SweepRow {
   double p99_us = 0;
 };
 
-SweepRow MeasureMatchSweep(size_t count, bool indexed, double seconds) {
-  SubscriptionRegistry::Options reg;
-  reg.indexed_matching = indexed;
-  Harness h(/*extra_clients=*/1, reg);
+SweepRow MeasureMatchSweep(size_t count, double seconds) {
+  Harness h(/*extra_clients=*/1);
   SessionClient<>& sub = h.subscriber(0);
   for (size_t i = 0; i < count; ++i) {
     VertexId v = 1 + (i % (Harness::kVertices - 1));
@@ -246,7 +242,6 @@ SweepRow MeasureMatchSweep(size_t count, bool indexed, double seconds) {
 
   SweepRow row;
   row.subscriptions = count;
-  row.indexed = indexed;
   row.batches = h.publisher().matched_batches();
   row.match_us_per_batch =
       h.publisher().match_timer().TotalNanos() / 1e3 /
@@ -298,29 +293,25 @@ int main() {
       "subscribers coalesce instead of backpressuring ingest), while\n"
       "delivered notifications scale with the subscriber count.\n\n");
 
-  // The standing-query sweep: 10^4 -> 10^5 single-vertex subscriptions,
-  // indexed matcher vs the retained scan baseline.
-  std::printf("%10s %8s %10s %14s %16s %10s %10s\n", "standing", "matcher",
-              "match us", "candidates", "scan-equiv", "p50 us", "p99 us");
+  // The standing-query sweep: 10^4 -> 10^5 single-vertex subscriptions.
+  std::printf("%10s %10s %14s %16s %10s %10s\n", "standing", "match us",
+              "candidates", "scan-equiv", "p50 us", "p99 us");
   std::vector<SweepRow> sweep;
   for (size_t count : {10000, 30000, 100000}) {
-    for (bool indexed : {false, true}) {
-      SweepRow row = MeasureMatchSweep(count, indexed, env.seconds);
-      sweep.push_back(row);
-      std::printf("%10zu %8s %10.2f %14llu %16llu %10.1f %10.1f\n",
-                  row.subscriptions, indexed ? "index" : "scan",
-                  row.match_us_per_batch,
-                  (unsigned long long)row.candidate_pairs,
-                  (unsigned long long)row.scan_equivalent_pairs, row.p50_us,
-                  row.p99_us);
-    }
+    SweepRow row = MeasureMatchSweep(count, env.seconds);
+    sweep.push_back(row);
+    std::printf("%10zu %10.2f %14llu %16llu %10.1f %10.1f\n",
+                row.subscriptions, row.match_us_per_batch,
+                (unsigned long long)row.candidate_pairs,
+                (unsigned long long)row.scan_equivalent_pairs, row.p50_us,
+                row.p99_us);
   }
   bench::PrintRule();
   std::printf(
-      "Shape check: the scan's match cost per batch tracks the standing-\n"
-      "query count; the index's tracks its candidate count (postings on the\n"
-      "changed vertex, ~count/|V| here) and stays flat as subscriptions\n"
-      "grow 10x. candidates << scan-equiv is the index earning its keep.\n");
+      "Shape check: the match cost per batch tracks the candidate count\n"
+      "(postings on the changed vertex, ~count/|V| here) and stays flat as\n"
+      "subscriptions grow 10x. candidates << scan-equiv (what a scan would\n"
+      "examine) is the index earning its keep.\n");
 
   std::string json = "{\n  \"bench\": \"subscribe_latency\",\n";
   char buf[512];
@@ -353,11 +344,11 @@ int main() {
     const SweepRow& r = sweep[i];
     std::snprintf(
         buf, sizeof(buf),
-        "    {\"subscriptions\": %zu, \"matcher\": \"%s\", "
+        "    {\"subscriptions\": %zu, "
         "\"batches\": %llu, \"match_us_per_batch\": %.3f, "
         "\"candidate_pairs\": %llu, \"scan_equivalent_pairs\": %llu, "
         "\"p50_us\": %.2f, \"p99_us\": %.2f}%s\n",
-        r.subscriptions, r.indexed ? "indexed" : "scan",
+        r.subscriptions,
         (unsigned long long)r.batches, r.match_us_per_batch,
         (unsigned long long)r.candidate_pairs,
         (unsigned long long)r.scan_equivalent_pairs, r.p50_us, r.p99_us,

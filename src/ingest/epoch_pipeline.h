@@ -159,18 +159,11 @@ class EpochPipeline {
   /// Appends the continuous-query stage to the commit path: installs the
   /// publisher as the system's change sink (every committed version's
   /// modification set is staged on the coordinator) and seals one batch per
-  /// epoch, after the WAL flush, for the publisher's off-path matcher.
-  /// Also hands the store's vertex ownership to the registry so its
-  /// posting-list index shards along the same partition the store applies
-  /// by (a parallelism alignment, not a correctness requirement — the
-  /// registry ignores it once subscriptions exist).
-  /// Like OpenSession, wire this before Start(); nullptr detaches.
+  /// epoch, after the epoch's WAL step, for the publisher's off-path
+  /// matcher. Like OpenSession, wire this before Start(); nullptr detaches.
   void AttachPublisher(ChangePublisher* publisher) {
     publisher_ = publisher;
     system_.SetChangeSink(publisher);
-    if (publisher != nullptr) {
-      publisher->registry().InstallOwnership(system_.Ownership());
-    }
   }
   ChangePublisher* publisher() const { return publisher_; }
 

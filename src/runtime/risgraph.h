@@ -554,20 +554,6 @@ class RisGraph {
   void SetChangeSink(ResultChangeSink* sink) { change_sink_ = sink; }
   ResultChangeSink* change_sink() const { return change_sink_; }
 
-  /// The store's vertex-ownership regime — shard 0's view, num_shards and
-  /// the PartitionMap shared with every consumer that partitions by vertex
-  /// owner (engines group frontiers by it; the subscription registry shards
-  /// its posting-list index by it, via EpochPipeline::AttachPublisher ->
-  /// SubscriptionRegistry::InstallOwnership). The trivial single-shard
-  /// regime on an unpartitioned store.
-  VertexPartition Ownership() {
-    if constexpr (requires { store_.router(); }) {
-      return store_.router().OwnershipOf(0);
-    } else {
-      return VertexPartition{0, 1, nullptr};
-    }
-  }
-
   /// Component wall-time accounting (Figure 11b).
   ComponentTimer& upd_eng_timer() { return upd_eng_timer_; }
   ComponentTimer& cmp_eng_timer() { return cmp_eng_timer_; }

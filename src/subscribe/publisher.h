@@ -1,20 +1,16 @@
 #ifndef RISGRAPH_SUBSCRIBE_PUBLISHER_H_
 #define RISGRAPH_SUBSCRIBE_PUBLISHER_H_
 
-#include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <thread>
 #include <vector>
 
 #include "common/timer.h"
-#include "parallel/thread_pool.h"
 #include "subscribe/change_sink.h"
 #include "subscribe/registry.h"
 #include "subscribe/subscription.h"
@@ -36,27 +32,23 @@ namespace risgraph {
 ///    the handoff queue (one lock hop, buffers recycled through a pool) and
 ///    wakes the matcher.
 ///
-///  * Matcher thread. Drains sealed batches in order and matches each
-///    against the registry off the coordinator's critical path. With the
-///    indexed registry this fans out: one match task per registry shard
-///    plus the watch-all lane, each probing its shard's posting lists under
-///    that shard's own mutex, run on the publisher's OWN thread pool (the
-///    pipeline's global pool is busy executing the next epoch, and
-///    ThreadPool is not reentrant — two concurrent ParallelFors on one pool
-///    are undefined). The per-lane hit vectors are then handed to
-///    SubscriptionRegistry::Deliver, which sorts them into the
-///    deterministic (subscription id, change index) order — so the streams
-///    cannot depend on lane interleaving or shard count. Falls back to
-///    SubscriptionRegistry::PublishScan when the registry was configured
-///    with indexed_matching = false (the equivalence baseline).
+///  * Matcher thread. Drains sealed batches in order and runs each through
+///    SubscriptionRegistry::Match (one pass over the posting-list index and
+///    the watch-all lanes, under the index mutex) and then Deliver, which
+///    sorts the hits into the deterministic (subscription id, change index)
+///    order and enqueues them. Both run inline on this thread, off the
+///    coordinator's critical path.
 ///
 ///    A subscriber storm can slow the matcher, never the epoch loop; the
 ///    bounded handoff is the only coupling, and it only sheds work to
 ///    coalescing (per-subscription), not to the pipeline.
 ///
-/// Notifications are pushed *after* the epoch's WAL flush (the pipeline
-/// seals post-flush), so a subscriber can never observe a change that a
-/// crash could un-commit.
+/// The pipeline seals each epoch after its WAL step. With coupled
+/// durability that step is the physical flush, so a subscriber can never
+/// observe a change that a crash could un-commit. Under async_durability
+/// the step is an O(1) Seal handoff to the flusher, so notifications are
+/// read-your-execution; subscribers that need durability gate on the
+/// durability watermark (see EpochPipeline's epoch end).
 class ChangePublisher final : public ResultChangeSink {
  public:
   explicit ChangePublisher(SubscriptionRegistry& registry)
@@ -86,7 +78,7 @@ class ChangePublisher final : public ResultChangeSink {
   }
 
   /// Hands the epoch's staged changes to the matcher (EpochPipeline calls
-  /// this once per epoch, after the WAL flush). No-op on an idle epoch.
+  /// this once per epoch, after its WAL step). No-op on an idle epoch.
   void SealEpoch() {
     if (staging_.empty()) return;
     {
@@ -161,7 +153,7 @@ class ChangePublisher final : public ResultChangeSink {
       matching_ = true;
       lk.unlock();
       // Registry matching runs without the handoff lock: the coordinator
-      // can seal the next epoch while this one fans out.
+      // can seal the next epoch while this one is matched.
       MatchBatch(batch);
       published_.fetch_add(batch.size(), std::memory_order_release);
       matched_batches_.fetch_add(1, std::memory_order_relaxed);
@@ -176,51 +168,9 @@ class ChangePublisher final : public ResultChangeSink {
   /// One sealed batch through the registry. Matcher-thread only.
   void MatchBatch(std::span<const CommittedChange> changes) {
     ScopedTimer timer(match_timer_);
-    if (!registry_.indexed_matching()) {
-      registry_.PublishScan(changes);
-      return;
-    }
-    const uint32_t shards = registry_.num_match_shards();
-    const uint32_t lanes = shards + 1;  // last lane = watch-all
-    if (lane_hits_.size() < lanes) lane_hits_.resize(lanes);
-    if (shards == 1) {
-      registry_.MatchShard(0, changes, &lane_hits_[0]);
-      registry_.MatchWatchAll(changes, &lane_hits_[1]);
-    } else {
-      // Fan one task per lane on the publisher's own pool. Lane order in
-      // merged_ is irrelevant: Deliver sorts.
-      EnsureMatchPool(lanes);
-      match_pool_->ParallelFor(
-          lanes, 1, [&](size_t, uint64_t begin, uint64_t end) {
-            for (uint64_t lane = begin; lane < end; ++lane) {
-              if (lane < shards) {
-                registry_.MatchShard(static_cast<uint32_t>(lane), changes,
-                                     &lane_hits_[lane]);
-              } else {
-                registry_.MatchWatchAll(changes, &lane_hits_[lane]);
-              }
-            }
-          });
-    }
-    merged_.clear();
-    for (uint32_t lane = 0; lane < lanes; ++lane) {
-      merged_.insert(merged_.end(), lane_hits_[lane].begin(),
-                     lane_hits_[lane].end());
-      lane_hits_[lane].clear();
-    }
-    registry_.Deliver(changes, &merged_);
-  }
-
-  /// Lazily builds the match pool, sized to the lane count but never past
-  /// the hardware. Matcher-thread only, so no synchronization needed. NOT
-  /// ThreadPool::Global(): the matcher runs concurrently with the epoch
-  /// loop's own ParallelFors, and the pool is single-loop.
-  void EnsureMatchPool(uint32_t lanes) {
-    if (match_pool_) return;
-    size_t hw = std::thread::hardware_concurrency();
-    if (hw == 0) hw = 1;
-    match_pool_ = std::make_unique<ThreadPool>(
-        std::min<size_t>(lanes, hw));
+    registry_.Match(changes, &hits_);
+    registry_.Deliver(changes, &hits_);
+    hits_.clear();
   }
 
   SubscriptionRegistry& registry_;
@@ -236,10 +186,7 @@ class ChangePublisher final : public ResultChangeSink {
   bool stop_ = false;
   bool matching_ = false;
 
-  // Matcher-thread-owned match scratch (reused across batches).
-  std::vector<std::vector<MatchHit>> lane_hits_;
-  std::vector<MatchHit> merged_;
-  std::unique_ptr<ThreadPool> match_pool_;
+  std::vector<MatchHit> hits_;  // matcher-thread-owned, reused per batch
 
   std::atomic<uint64_t> staged_{0};
   std::atomic<uint64_t> published_{0};

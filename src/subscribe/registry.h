@@ -32,83 +32,61 @@ namespace risgraph {
 ///  * Consumers (one SessionClient in-process, one RPC connection's pusher
 ///    thread remotely) hold a Subscriber handle and call Subscribe /
 ///    Unsubscribe / Poll / WaitNotification on it.
-///  * The ChangePublisher's matcher calls MatchShard / MatchWatchAll /
-///    Deliver (or PublishScan, the retained baseline) with each sealed
-///    epoch's committed changes; matching hits are pushed into the
-///    subscribers' DeliveryQueues (bounded, latest-value coalescing under
-///    overload — a slow consumer can never grow server memory without bound
-///    and never back-pressures the ingest pipeline, which by then has long
-///    moved on).
+///  * The ChangePublisher's matcher thread calls Match then Deliver with
+///    each sealed epoch's committed changes; matching hits are pushed into
+///    the subscribers' DeliveryQueues (bounded, latest-value coalescing
+///    under overload — a slow consumer can never grow server memory without
+///    bound and never back-pressures the ingest pipeline, which by then has
+///    long moved on).
 ///
 /// ## The index (subscription_index.h)
 ///
 /// A naive matcher is O(changes x live subscriptions) per batch — fine for
 /// tens of standing queries, a new critical-path ceiling at the thousands a
-/// feed deployment implies. Instead the registry maintains, per SHARD:
+/// feed deployment implies. Instead the registry maintains one
 ///
 ///   vertex id -> posting list of subscriptions watching that vertex
 ///
 /// (an open-addressing FlatMap), so a batch of C changes examines only the
 /// subscriptions actually watching the changed vertices. Watch-all
 /// subscriptions, which have no vertex key, live on per-algorithm watch-all
-/// lanes matched separately — the irreducible O(C x watch-alls) rump.
+/// lanes matched in the same pass — the irreducible O(C x watch-alls) rump.
 ///
-/// ## Sharding
-///
-/// Shards partition the index by VERTEX OWNER — the same
-/// PartitionMap/VertexPartition ownership the store and engine layers
-/// resolve through (common/types.h), installed by
-/// EpochPipeline::AttachPublisher via InstallOwnership. Each shard carries
-/// its own mutex and posting lists, so (1) the publisher can fan one match
-/// task per shard, and (2) Subscribe/Unsubscribe churn on one shard never
-/// contends with matching on another. Shard choice is a pure performance
-/// decision: any ownership map yields the same notification streams,
-/// because delivery re-establishes a deterministic order (below). The
-/// watch-all lanes are the cross-shard lane: matched once, not per shard.
-///
-/// ## Locks (strictly non-nested — no path holds two registry locks)
+/// ## Locks (strictly non-nested — no path holds both)
 ///
 ///   table_mu_   subscribers_, their subs_ maps + delivery queues +
 ///               pending counts, the id -> handle map, next_id_. Taken by
-///               Subscribe/Unsubscribe/Poll/Wait/Deliver. Never held while
-///               a shard lock is wanted, and vice versa.
-///   shard mu    that shard's posting lists (one per shard). Taken by the
-///               index half of Subscribe/Unsubscribe and by MatchShard.
-///   watch-all   the watch-all lanes, same role as a shard mutex.
+///               Subscribe/Unsubscribe/Poll/Wait/Deliver/PublishScan.
+///   index_mu_   the vertex posting index and the watch-all lanes. Taken by
+///               the index half of Subscribe/Unsubscribe and by Match.
 ///
-/// Because matching runs under shard locks only, posting entries carry a
-/// copy of the predicate fields (never a pointer into the table), and a
-/// subscription unsubscribed between match and delivery simply fails the
-/// id lookup in Deliver and is dropped — the same outcome an atomic
+/// Because matching runs under index_mu_ only, posting entries carry a copy
+/// of the predicate fields (never a pointer into the table), and a
+/// subscription unsubscribed between Match and Deliver simply fails the id
+/// lookup in Deliver and is dropped — the same outcome an atomic
 /// scan-under-one-mutex would have produced a microsecond earlier.
 ///
 /// Unsubscribe is O(watched vertices) — it walks the filter's (sorted)
-/// watched-vertex set removing postings from each vertex's owner shard —
-/// never O(live subscriptions).
+/// watched-vertex set removing one posting per vertex — never O(live
+/// subscriptions).
 ///
 /// ## Determinism
 ///
 /// Per-subscription notification streams are bit-identical to the scan
-/// baseline (PublishScan): the scan delivers each subscription its matching
-/// changes in staged (version) order, and the indexed path sorts all hits
-/// by (subscription id, change index) before delivery, which restores
-/// exactly that per-queue order. DeliveryQueue drains deterministically and
-/// Poll visits subscriptions in id order, so same committed versions =>
-/// same notification streams, at any ingest/store shard count, either
-/// matcher, either transport (tests/test_subscribe_index.cc pins this).
+/// matcher (PublishScan, kept as the reference the tests compare against;
+/// no production path uses it): the scan delivers each subscription its
+/// matching changes in staged (version) order, and Deliver sorts all hits
+/// by (subscription id, change index), which restores exactly that
+/// per-queue order. DeliveryQueue drains deterministically and Poll visits
+/// subscriptions in id order, so same committed versions => same
+/// notification streams, at any ingest/store shard count and either
+/// transport (tests/test_subscribe_index.cc pins this).
 class SubscriptionRegistry {
  public:
   struct Options {
     /// Per-subscription in-order buffer depth before latest-value
     /// coalescing engages (see DeliveryQueue).
     size_t queue_capacity = 4096;
-    /// When false, the publisher falls back to the retained scan matcher
-    /// (PublishScan) — the equivalence-test oracle and bench baseline.
-    bool indexed_matching = true;
-    /// Explicit match-shard override for standalone use (benches). 0 means
-    /// "from InstallOwnership" — the normal path, where
-    /// EpochPipeline::AttachPublisher installs the store's ownership.
-    uint32_t match_shards = 0;
   };
 
   /// One consuming session's handle: its subscriptions, their delivery
@@ -133,31 +111,11 @@ class SubscriptionRegistry {
     uint64_t wake_stamp_ = 0;  // dedup of per-Deliver wakeups
   };
 
-  SubscriptionRegistry() { InitShards(); }
-  explicit SubscriptionRegistry(Options options) : options_(options) {
-    InitShards();
-  }
+  SubscriptionRegistry() = default;
+  explicit SubscriptionRegistry(Options options) : options_(options) {}
 
   SubscriptionRegistry(const SubscriptionRegistry&) = delete;
   SubscriptionRegistry& operator=(const SubscriptionRegistry&) = delete;
-
-  /// Installs the vertex-ownership regime the index shards by (the store's
-  /// VertexPartition, wired by EpochPipeline::AttachPublisher before any
-  /// client can Subscribe — SessionClient refuses subscriptions until a
-  /// publisher is attached). Only takes effect while no subscription has
-  /// ever been indexed: re-sharding a live index would have to move every
-  /// posting, and ownership is a pure performance hint here (any regime
-  /// produces the same streams), so late installs are simply ignored.
-  /// Options::match_shards, when set, pins the shard count and also wins
-  /// over this.
-  void InstallOwnership(VertexPartition ownership) {
-    std::lock_guard<std::mutex> lk(table_mu_);
-    if (!by_id_.empty() || next_id_ != 1) return;
-    if (options_.match_shards != 0) return;
-    ownership_ = std::move(ownership);
-    ownership_.shard = 0;  // the registry speaks for every shard
-    InitShards();
-  }
 
   Subscriber* OpenSubscriber() {
     std::lock_guard<std::mutex> lk(table_mu_);
@@ -208,15 +166,11 @@ class SubscriptionRegistry {
     // in-flight batch — indistinguishable from the subscribe arriving one
     // batch later, which concurrent subscribers cannot rule out anyway.
     SubscriptionPosting p = SubscriptionPosting::Of(id, *stored);
+    std::lock_guard<std::mutex> lk(index_mu_);
     if (stored->watch_all) {
-      std::lock_guard<std::mutex> lk(watch_all_mu_);
       watch_all_.Add(p);
     } else {
-      for (VertexId v : stored->WatchedVertices()) {
-        Shard& sh = ShardFor(v);
-        std::lock_guard<std::mutex> lk(sh.mu);
-        sh.index.Add(v, p);
-      }
+      for (VertexId v : stored->WatchedVertices()) index_.Add(v, p);
     }
     return id;
   }
@@ -242,41 +196,21 @@ class SubscriptionRegistry {
 
   //===--- Matching ------------------------------------------------------===//
   //
-  // The indexed path is split so the ChangePublisher can fan it: one
-  // MatchShard task per shard plus the MatchWatchAll lane, each appending
-  // to its own hit vector under its own lock, then one Deliver over the
-  // concatenation. PublishScan is the retained baseline — same streams,
+  // Split in two so that matching holds only index_mu_ and delivery only
+  // table_mu_: the publisher's matcher calls Match, then Deliver, once per
+  // sealed batch. PublishScan is the reference matcher — same streams,
   // O(changes x subscriptions).
 
-  /// Matches `changes` against shard `shard`'s posting lists, appending
-  /// hits. Thread-safe against every other registry operation; the
-  /// publisher calls the N shards concurrently.
-  void MatchShard(uint32_t shard, std::span<const CommittedChange> changes,
-                  std::vector<MatchHit>* out) {
-    Shard& sh = *shards_[shard];
+  /// Appends to `hits` every (change, subscription) match of `changes`
+  /// against the vertex posting lists and the watch-all lanes. Thread-safe
+  /// against every other registry operation.
+  void Match(std::span<const CommittedChange> changes,
+             std::vector<MatchHit>* hits) {
     uint64_t candidates = 0;
     {
-      std::lock_guard<std::mutex> lk(sh.mu);
-      if (shards_.size() == 1) {
-        candidates = sh.index.MatchInto(
-            changes, [](VertexId) { return true; }, out);
-      } else {
-        candidates = sh.index.MatchInto(
-            changes,
-            [&](VertexId v) { return ownership_.OwnerOf(v) == shard; }, out);
-      }
-    }
-    candidate_pairs_.fetch_add(candidates, std::memory_order_relaxed);
-  }
-
-  /// The dedicated cross-shard lane: watch-all subscriptions, matched once
-  /// per batch (not per shard).
-  void MatchWatchAll(std::span<const CommittedChange> changes,
-                     std::vector<MatchHit>* out) {
-    uint64_t candidates = 0;
-    {
-      std::lock_guard<std::mutex> lk(watch_all_mu_);
-      candidates = watch_all_.MatchInto(changes, out);
+      std::lock_guard<std::mutex> lk(index_mu_);
+      candidates = index_.MatchInto(changes, hits) +
+                   watch_all_.MatchInto(changes, hits);
     }
     candidate_pairs_.fetch_add(candidates, std::memory_order_relaxed);
   }
@@ -285,8 +219,7 @@ class SubscriptionRegistry {
   /// change index), which groups each subscription's hits contiguously with
   /// its changes in staged order — and enqueues them. Hits whose id no
   /// longer resolves (unsubscribed mid-flight) are dropped. Called by the
-  /// publisher's matcher thread only, once per sealed batch, after every
-  /// match task joined.
+  /// publisher's matcher thread only, once per sealed batch, after Match.
   void Deliver(std::span<const CommittedChange> changes,
                std::vector<MatchHit>* hits) {
     std::sort(hits->begin(), hits->end());
@@ -324,10 +257,9 @@ class SubscriptionRegistry {
     }
   }
 
-  /// The scan baseline: matches one sealed batch against every live
-  /// subscription under the table mutex — O(changes x subscriptions),
-  /// exactly the pre-index matcher. Retained as the equivalence oracle
-  /// (tests) and the bench's "what the index replaces" bar.
+  /// The reference matcher: matches one sealed batch against every live
+  /// subscription under the table mutex — O(changes x subscriptions). The
+  /// tests compare Match + Deliver against it; no production path uses it.
   void PublishScan(std::span<const CommittedChange> changes) {
     std::lock_guard<std::mutex> lk(table_mu_);
     scan_equivalent_pairs_.fetch_add(changes.size() * by_id_.size(),
@@ -392,11 +324,6 @@ class SubscriptionRegistry {
     std::lock_guard<std::mutex> lk(table_mu_);
     return by_id_.size();
   }
-  /// Match shards the index is partitioned into (>= 1).
-  uint32_t num_match_shards() const {
-    return static_cast<uint32_t>(shards_.size());
-  }
-  bool indexed_matching() const { return options_.indexed_matching; }
   /// Notifications that matched a filter (before coalescing).
   uint64_t matched() const { return matched_.load(std::memory_order_relaxed); }
   /// Notifications handed to consumers via Poll.
@@ -429,13 +356,8 @@ class SubscriptionRegistry {
   /// |watched vertices| (or 1 for watch-all) — no stale entries survive
   /// churn.
   uint64_t IndexEntriesForTest() const {
-    uint64_t n = 0;
-    for (const auto& sh : shards_) {
-      std::lock_guard<std::mutex> lk(sh->mu);
-      n += sh->index.entries();
-    }
-    std::lock_guard<std::mutex> lk(watch_all_mu_);
-    return n + watch_all_.entries();
+    std::lock_guard<std::mutex> lk(index_mu_);
+    return index_.entries() + watch_all_.entries();
   }
   const Options& options() const { return options_; }
 
@@ -444,49 +366,17 @@ class SubscriptionRegistry {
     Subscriber* subscriber = nullptr;
     Subscriber::Entry* entry = nullptr;  // stable: std::map node
   };
-  struct Shard {
-    mutable std::mutex mu;
-    VertexPostingIndex index;
-  };
-
-  void InitShards() {
-    uint32_t n = options_.match_shards != 0 ? options_.match_shards
-                                            : ownership_.num_shards;
-    if (n < 1) n = 1;
-    shards_.clear();
-    shards_.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      shards_.push_back(std::make_unique<Shard>());
-    }
-    if (options_.match_shards != 0 && ownership_.num_shards != n) {
-      // Standalone sharding without a store: modulo over the pinned count.
-      ownership_ = VertexPartition{0, n, nullptr};
-    }
-  }
-
-  Shard& ShardFor(VertexId v) {
-    return shards_.size() == 1 ? *shards_[0]
-                               : *shards_[ownership_.OwnerOf(v)];
-  }
-
   /// Removes every index posting `filter` created for subscription `id`.
   void Deindex(uint64_t id, const SubscriptionFilter& filter) {
+    std::lock_guard<std::mutex> lk(index_mu_);
     if (filter.watch_all) {
-      std::lock_guard<std::mutex> lk(watch_all_mu_);
       watch_all_.Remove(filter.algo, id);
       return;
     }
-    for (VertexId v : filter.WatchedVertices()) {
-      Shard& sh = ShardFor(v);
-      std::lock_guard<std::mutex> lk(sh.mu);
-      sh.index.Remove(v, id);
-    }
+    for (VertexId v : filter.WatchedVertices()) index_.Remove(v, id);
   }
 
   Options options_{};
-  /// Vertex ownership the shards partition by (InstallOwnership). shard=0,
-  /// num_shards = shards_.size(); map shared with the store when wired.
-  VertexPartition ownership_{0, 1, nullptr};
 
   mutable std::mutex table_mu_;
   std::vector<std::unique_ptr<Subscriber>> subscribers_;
@@ -499,8 +389,8 @@ class SubscriptionRegistry {
   /// Deliver's run-materialization scratch (guarded by table_mu_).
   std::vector<Notification> run_scratch_;
 
-  std::vector<std::unique_ptr<Shard>> shards_;
-  mutable std::mutex watch_all_mu_;
+  mutable std::mutex index_mu_;
+  VertexPostingIndex index_;
   WatchAllLane watch_all_;
 
   std::atomic<uint64_t> matched_{0};

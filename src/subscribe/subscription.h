@@ -26,25 +26,23 @@ namespace risgraph {
 ///
 ///   RisGraph commit hook (ResultChangeSink, change_sink.h)
 ///     -> ChangePublisher (publisher.h): coordinator-side staging, sealed
-///        per-epoch batch handoff, off-path matcher thread with a per-shard
-///        parallel match fan-out on its own pool
-///     -> SubscriptionRegistry (registry.h): the subscription table, sharded
-///        by the store's vertex ownership; each shard owns a
-///        VertexPostingIndex (subscription_index.h — vertex id -> posting
-///        list of interested subscriptions), watch-all subscriptions match
-///        on per-algorithm lanes; matching is O(changes x interested), not
-///        O(changes x live), and unsubscribe is O(watched vertices)
+///        per-epoch batch handoff, one off-path matcher thread
+///     -> SubscriptionRegistry (registry.h): the subscription table plus
+///        one VertexPostingIndex (subscription_index.h — vertex id ->
+///        posting list of interested subscriptions); watch-all
+///        subscriptions match on per-algorithm lanes; matching is
+///        O(changes x interested), not O(changes x live), and unsubscribe
+///        is O(watched vertices)
 ///     -> DeliveryQueue (delivery_queue.h): bounded per-subscription FIFO
 ///        with latest-value coalescing under overload
 ///     -> SessionClient poll/wait in-process, or the RPC pusher thread
 ///        (kNotify) remotely.
 ///
 /// The contract every layer preserves: per-subscription notification
-/// streams are DETERMINISTIC — bit-identical at any ingest/store/registry
-/// shard count, either matcher (indexed or the retained scan baseline),
-/// either transport, including under subscribe/unsubscribe churn at batch
-/// boundaries (pinned by tests/test_subscribe.cc and
-/// tests/test_subscribe_index.cc).
+/// streams are DETERMINISTIC — bit-identical at any ingest/store shard
+/// count, equal to the scan reference matcher, over either transport,
+/// including under subscribe/unsubscribe churn at batch boundaries (pinned
+/// by tests/test_subscribe.cc and tests/test_subscribe_index.cc).
 
 /// Value predicate applied to a candidate change before it is delivered.
 /// Predicates see the committed (new) value and the pre-update (old) value.
@@ -131,9 +129,9 @@ struct SubscriptionFilter {
 
   /// The watched-vertex set for indexing (sorted + deduped once Normalize
   /// has run; empty for watch-all filters). The registry's posting-list
-  /// index registers each of these vertices with its owning registry shard,
-  /// so matching a change touches only the subscriptions watching that
-  /// vertex — never this set itself.
+  /// index registers the subscription under each of these vertices, so
+  /// matching a change touches only the subscriptions watching that vertex
+  /// — never this set itself.
   std::span<const VertexId> WatchedVertices() const { return vertices; }
 
   /// Vertex-membership half of the filter. Requires Normalize() to have run

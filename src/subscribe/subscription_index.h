@@ -1,7 +1,6 @@
 #ifndef RISGRAPH_SUBSCRIBE_SUBSCRIPTION_INDEX_H_
 #define RISGRAPH_SUBSCRIBE_SUBSCRIPTION_INDEX_H_
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -24,19 +23,18 @@ namespace risgraph {
 ///    posting entries carry a COPY of the filter's predicate fields, so
 ///    matching never dereferences registry-owned state — the registry's
 ///    Entry may be concurrently unsubscribed, and a stale hit is dropped at
-///    delivery when its id no longer resolves). One instance per registry
-///    shard; only vertices owned by that shard appear in it.
+///    delivery when its id no longer resolves).
 ///  * WatchAllLane — per-algorithm posting vectors for watch-all
 ///    subscriptions, which by definition have no vertex key to index on.
-///    These are matched on a dedicated lane (cost O(changes x watch-alls),
-///    the irreducible part of the scan).
+///    These are matched in the same pass as the vertex index (cost
+///    O(changes x watch-alls), the irreducible part of the scan).
 ///
 /// Removal is O(posting-list length for that vertex) via swap-remove —
 /// posting-list order is NOT meaningful, because delivery sorts hits into a
 /// deterministic order anyway (see SubscriptionRegistry::Deliver).
 ///
-/// Not thread-safe: the owner (a registry shard / the registry's watch-all
-/// lane) brings its own mutex.
+/// Not thread-safe: the owning SubscriptionRegistry guards both under its
+/// index mutex.
 
 /// One posting: enough of a subscription to evaluate a candidate change
 /// without touching the registry table. 32 bytes, trivially copyable.
@@ -58,14 +56,15 @@ struct SubscriptionPosting {
 };
 
 /// A match hit: change `change` (index into the sealed batch) matched
-/// subscription `id`. (change, id) is a total order — ids are unique — so a
-/// sort makes any concatenation of per-lane hit vectors deterministic.
+/// subscription `id`. (id, change) is a total order — a subscription matches
+/// a change at most once — and sorting by it groups each subscription's
+/// hits contiguously, in staged order, whatever order they were found in.
 struct MatchHit {
   uint32_t change = 0;
   uint64_t id = 0;
 
   friend bool operator<(const MatchHit& a, const MatchHit& b) {
-    return a.change != b.change ? a.change < b.change : a.id < b.id;
+    return a.id != b.id ? a.id < b.id : a.change < b.change;
   }
 };
 
@@ -73,11 +72,10 @@ struct VertexIdHash {
   uint64_t operator()(VertexId v) const { return Murmur3Fmix64(v); }
 };
 
-/// Vertex-id -> interested-subscription posting lists for one registry
-/// shard. FlatMap has no erase, so a fully-unsubscribed vertex leaves an
-/// empty vector slot behind; memory is bounded by the distinct vertices
-/// ever watched through this shard, and the capacity is reused when a
-/// vertex is watched again.
+/// Vertex-id -> interested-subscription posting lists. FlatMap has no
+/// erase, so a fully-unsubscribed vertex leaves an empty vector slot behind;
+/// memory is bounded by the distinct vertices ever watched, and the
+/// capacity is reused when a vertex is watched again.
 class VertexPostingIndex {
  public:
   void Add(VertexId v, const SubscriptionPosting& p) {
@@ -101,16 +99,13 @@ class VertexPostingIndex {
   }
 
   /// Matches every change whose vertex has a posting list, appending hits in
-  /// (change, posting) scan order. `owned` pre-filters to this shard's
-  /// vertices. Returns the number of candidate (change, subscription) pairs
-  /// examined — the index's selectivity metric.
-  template <typename OwnedFn>
+  /// (change, posting) scan order. Returns the number of candidate (change,
+  /// subscription) pairs examined — the index's selectivity metric.
   uint64_t MatchInto(std::span<const CommittedChange> changes,
-                     const OwnedFn& owned, std::vector<MatchHit>* out) const {
+                     std::vector<MatchHit>* out) const {
     uint64_t candidates = 0;
     for (uint32_t i = 0; i < changes.size(); ++i) {
       const CommittedChange& c = changes[i];
-      if (!owned(c.vertex)) continue;
       const std::vector<SubscriptionPosting>* list = postings_.Find(c.vertex);
       if (list == nullptr) continue;
       candidates += list->size();
@@ -122,7 +117,7 @@ class VertexPostingIndex {
   }
 
   /// Live posting entries (consistency checks: must equal the sum of live
-  /// subscriptions' watched-vertex counts owned by this shard).
+  /// subscriptions' watched-vertex counts).
   uint64_t entries() const { return entries_; }
 
  private:
@@ -130,8 +125,8 @@ class VertexPostingIndex {
   uint64_t entries_ = 0;
 };
 
-/// Watch-all subscriptions, grouped per algorithm. The dedicated match lane
-/// for subscriptions the vertex index cannot help with.
+/// Watch-all subscriptions, grouped per algorithm: the lane for
+/// subscriptions the vertex index cannot help with.
 class WatchAllLane {
  public:
   void Add(const SubscriptionPosting& p) {

@@ -186,7 +186,9 @@ RecoveryResult RecoverRisGraph(RisGraph<Store>& sys,
 /// switches to *background retirement*: closed segments fully below the
 /// checkpoint floor are truncated by the flusher between passes, and the
 /// active segment keeps appending (no quiesce of the write path beyond the
-/// drain that makes the checkpoint's LSN floor durable).
+/// drain that makes the checkpoint's LSN floor durable). A single-file log
+/// has no closed segments to retire, so it is truncated like in coupled
+/// mode (TruncateAfterCheckpoint quiesces the flusher itself).
 template <typename Store>
 bool CompactWal(RisGraph<Store>& sys, const std::string& checkpoint_path) {
   WriteAheadLog& wal = sys.wal();
@@ -196,7 +198,7 @@ bool CompactWal(RisGraph<Store>& sys, const std::string& checkpoint_path) {
   if (!WriteCheckpoint(sys.store(), floor_lsn, checkpoint_path)) {
     return false;
   }
-  if (wal.FlusherRunning()) {
+  if (wal.FlusherRunning() && wal.Segmented()) {
     wal.RetireSegmentsBefore(floor_lsn);
     return wal.status() == Status::kOk;
   }

@@ -116,6 +116,8 @@ class WriteAheadLog {
   bool Open(const std::string& path, WalOptions options = WalOptions());
   void Close();
   bool IsOpen() const { return open_; }
+  /// True when the log is a segment chain (WalOptions::segment_bytes > 0).
+  bool Segmented() const { return options_.segment_bytes > 0; }
 
   /// Buffers one record; returns its LSN. Coordinator thread only.
   uint64_t Append(const Update& update);

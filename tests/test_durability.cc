@@ -311,6 +311,76 @@ TEST_F(DurabilityTest, DecoupledServiceAcksExecutionThenDurability) {
   service.Stop();
 }
 
+TEST_F(DurabilityTest, DecoupledCompactionTruncatesSingleFileLog) {
+  // CompactWal on a running, idle async-durability service whose WAL is a
+  // single file: there are no closed segments for the flusher to retire, so
+  // the log itself must be truncated, and checkpoint + the log written
+  // after it must recover the store exactly.
+  std::vector<Update> updates = MakeUpdates(40);
+  constexpr size_t kBeforeCompaction = 30;
+  std::vector<uint64_t> values;
+  std::vector<std::tuple<VertexId, VertexId, Weight, uint64_t>> adj;
+  {
+    RisGraphOptions opt;
+    opt.wal_path = wal_;
+    RisGraph<> sys(kVertices, opt);
+    size_t bfs = sys.AddAlgorithm<Bfs>(0);
+    sys.InitializeResults();
+    ServiceOptions so;
+    so.async_durability = true;
+    so.wal_flush_interval_micros = 500;
+    RisGraphService<> service(sys, so);
+    service.Start();
+    {
+      SessionClient<> client(sys, service.pipeline());
+      for (size_t i = 0; i < kBeforeCompaction; ++i) {
+        ASSERT_NE(client.Submit(updates[i]), kInvalidVersion);
+      }
+      ASSERT_TRUE(sys.wal().WaitDurableLsn(kBeforeCompaction, 5'000'000));
+      ASSERT_TRUE(sys.wal().FlusherRunning());
+      std::FILE* f = std::fopen(wal_.c_str(), "rb");
+      ASSERT_NE(f, nullptr);
+      std::fseek(f, 0, SEEK_END);
+      EXPECT_EQ(std::ftell(f), long(kBeforeCompaction * kRec));
+      std::fclose(f);
+
+      ASSERT_TRUE(CompactWal(sys, ckpt_));
+      f = std::fopen(wal_.c_str(), "rb");
+      ASSERT_NE(f, nullptr);
+      std::fseek(f, 0, SEEK_END);
+      EXPECT_EQ(std::ftell(f), 0L) << "compaction left the log at full size";
+      std::fclose(f);
+
+      // The log keeps appending after compaction.
+      for (size_t i = kBeforeCompaction; i < updates.size(); ++i) {
+        ASSERT_NE(client.Submit(updates[i]), kInvalidVersion);
+      }
+      ASSERT_TRUE(sys.wal().WaitDurableLsn(updates.size(), 5'000'000));
+    }
+    service.Stop();
+    for (VertexId v = 0; v < kVertices; ++v) {
+      values.push_back(sys.GetValue(bfs, v));
+      sys.store().ForEachOut(v, [&](VertexId d, Weight w, uint64_t c) {
+        adj.emplace_back(v, d, w, c);
+      });
+    }
+  }
+  RisGraph<> rec(kVertices);
+  RecoveryResult r = RecoverRisGraph(rec, ckpt_, wal_);
+  EXPECT_TRUE(r.checkpoint_loaded);
+  EXPECT_EQ(r.replayed_records, updates.size() - kBeforeCompaction);
+  size_t bfs = rec.AddAlgorithm<Bfs>(0);
+  rec.InitializeResults();
+  std::vector<std::tuple<VertexId, VertexId, Weight, uint64_t>> rec_adj;
+  for (VertexId v = 0; v < kVertices; ++v) {
+    ASSERT_EQ(rec.GetValue(bfs, v), values[v]) << v;
+    rec.store().ForEachOut(v, [&](VertexId d, Weight w, uint64_t c) {
+      rec_adj.emplace_back(v, d, w, c);
+    });
+  }
+  EXPECT_EQ(rec_adj, adj) << "recovered adjacency (content or order)";
+}
+
 //===--- RPC tier: v2.2 durability acks and fail-stop -----------------------===//
 
 class DurabilityRpcTest : public ::testing::Test {

@@ -1,18 +1,22 @@
 // The subscription INDEX (src/subscribe/subscription_index.h) and the
-// sharded registry built on it: posting-list bookkeeping under churn
+// registry built on it: posting-list bookkeeping under churn
 // (counter-asserted — no stale entries), indexed-vs-scan matcher
-// equivalence at the registry level, and the end-to-end contract the PR
-// hangs on — randomized subscribe/unsubscribe churn interleaved with
-// ingest produces notification streams bit-identical to the scan baseline
-// at ingest/store shards {1,2,4} and over both transports.
+// equivalence at the registry level, the index/table lock split under
+// concurrent churn and matching, and the end-to-end contract —
+// randomized subscribe/unsubscribe churn interleaved with ingest produces
+// notification streams bit-identical to the unsharded in-process run at
+// ingest/store shards {1,2,4} and over both transports.
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <map>
 #include <random>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -51,25 +55,17 @@ TEST(VertexPostingIndexTest, AddRemoveMatchAndEntryCount) {
       {0, 1, 42, 0, 1},   // unindexed vertex: zero candidates
   };
   std::vector<MatchHit> hits;
-  uint64_t candidates =
-      index.MatchInto(changes, [](VertexId) { return true; }, &hits);
+  uint64_t candidates = index.MatchInto(changes, &hits);
   EXPECT_EQ(candidates, 4u);  // 2 postings at v5 + 2 at v9, none at v42
+  // Delivery order: (subscription id, change index).
   std::sort(hits.begin(), hits.end());
   ASSERT_EQ(hits.size(), 3u);
+  EXPECT_EQ(hits[0].id, 1u);
   EXPECT_EQ(hits[0].change, 0u);
-  EXPECT_EQ(hits[0].id, 1u);
-  EXPECT_EQ(hits[1].change, 0u);
-  EXPECT_EQ(hits[1].id, 2u);
-  EXPECT_EQ(hits[2].change, 1u);
-  EXPECT_EQ(hits[2].id, 1u);
-
-  // The ownership pre-filter drops non-owned vertices before probing.
-  hits.clear();
-  candidates =
-      index.MatchInto(changes, [](VertexId v) { return v == 9; }, &hits);
-  EXPECT_EQ(candidates, 2u);
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0].id, 1u);
+  EXPECT_EQ(hits[1].id, 1u);
+  EXPECT_EQ(hits[1].change, 1u);
+  EXPECT_EQ(hits[2].id, 2u);
+  EXPECT_EQ(hits[2].change, 0u);
 
   // Remove is by (vertex, id); absent removals are no-ops.
   index.Remove(5, 2);
@@ -77,7 +73,7 @@ TEST(VertexPostingIndexTest, AddRemoveMatchAndEntryCount) {
   index.Remove(77, 1);
   EXPECT_EQ(index.entries(), 3u);
   hits.clear();
-  index.MatchInto(changes, [](VertexId) { return true; }, &hits);
+  index.MatchInto(changes, &hits);
   for (const MatchHit& h : hits) EXPECT_NE(h.id, 2u);
 }
 
@@ -119,18 +115,6 @@ std::vector<CommittedChange> RandomBatch(std::mt19937& rng, uint64_t algos,
   return batch;
 }
 
-/// Matches one batch through the public indexed surface exactly the way
-/// ChangePublisher does: every shard, the watch-all lane, one Deliver.
-void PublishIndexed(SubscriptionRegistry& reg,
-                    std::span<const CommittedChange> batch) {
-  std::vector<MatchHit> hits;
-  for (uint32_t s = 0; s < reg.num_match_shards(); ++s) {
-    reg.MatchShard(s, batch, &hits);
-  }
-  reg.MatchWatchAll(batch, &hits);
-  reg.Deliver(batch, &hits);
-}
-
 SubscriptionFilter RandomFilter(std::mt19937& rng, uint64_t algos,
                                 uint64_t vertices) {
   if (rng() % 4 == 0) {
@@ -145,86 +129,81 @@ SubscriptionFilter RandomFilter(std::mt19937& rng, uint64_t algos,
       static_cast<NotifyPredicate>(rng() % 4), rng() % 8);
 }
 
-// Drive identical churn + batches through an indexed sharded registry and
-// the scan oracle; every Poll drain must agree bit for bit, and the posting
-// counters must account for exactly the live watch sets after every round.
+// Drive identical churn + batches through the indexed registry and the scan
+// oracle; every Poll drain must agree bit for bit, and the posting counters
+// must account for exactly the live watch sets after every round.
 TEST(RegistryIndexTest, ChurnEquivalenceAndPostingConsistency) {
   constexpr uint64_t kAlgos = 3;
   constexpr uint64_t kVertices = 256;
 
-  for (uint32_t shards : {1u, 4u}) {
-    SCOPED_TRACE("match_shards=" + std::to_string(shards));
-    SubscriptionRegistry::Options indexed_opt;
-    indexed_opt.match_shards = shards;
-    SubscriptionRegistry indexed(indexed_opt);
-    SubscriptionRegistry::Options scan_opt;
-    scan_opt.indexed_matching = false;
-    SubscriptionRegistry scan(scan_opt);
+  SubscriptionRegistry indexed;
+  SubscriptionRegistry scan;
 
-    auto* isub = indexed.OpenSubscriber();
-    auto* ssub = scan.OpenSubscriber();
+  auto* isub = indexed.OpenSubscriber();
+  auto* ssub = scan.OpenSubscriber();
 
-    std::mt19937 rng(42 + shards);
-    std::vector<uint64_t> live;        // ids live in BOTH registries
-    uint64_t expected_postings = 0;    // live watch-set cardinality
-    std::vector<Notification> igot, sgot;
+  std::mt19937 rng(42);
+  std::vector<uint64_t> live;        // ids live in BOTH registries
+  uint64_t expected_postings = 0;    // live watch-set cardinality
+  std::vector<Notification> igot, sgot;
+  std::vector<MatchHit> hits;
 
-    for (int round = 0; round < 60; ++round) {
-      // Subscribe a few (same filter, both registries; ids stay in step
-      // because both allocate sequentially from 1).
-      size_t subs = rng() % 3;
-      for (size_t i = 0; i < subs; ++i) {
-        SubscriptionFilter f = RandomFilter(rng, kAlgos, kVertices);
-        SubscriptionFilter copy = f;
-        copy.Normalize();
-        uint64_t id = indexed.Subscribe(isub, f);
-        ASSERT_EQ(scan.Subscribe(ssub, std::move(f)), id);
-        live.push_back(id);
-        expected_postings +=
-            copy.watch_all ? 1 : copy.WatchedVertices().size();
-      }
-      // Unsubscribe a random live one.
-      if (!live.empty() && rng() % 3 == 0) {
-        size_t pick = rng() % live.size();
-        uint64_t id = live[pick];
-        live.erase(live.begin() + pick);
-        // Re-derive the filter's posting weight via the consistency counter
-        // delta instead of tracking filters: assert after the pair of
-        // removals below.
-        uint64_t before = indexed.IndexEntriesForTest();
-        ASSERT_TRUE(indexed.Unsubscribe(isub, id));
-        ASSERT_TRUE(scan.Unsubscribe(ssub, id));
-        uint64_t removed = before - indexed.IndexEntriesForTest();
-        ASSERT_GE(removed, 1u);
-        expected_postings -= removed;
-      }
-      ASSERT_EQ(indexed.IndexEntriesForTest(), expected_postings);
-      ASSERT_EQ(indexed.NumSubscriptions(), live.size());
-      ASSERT_EQ(scan.NumSubscriptions(), live.size());
-
-      std::vector<CommittedChange> batch =
-          RandomBatch(rng, kAlgos, kVertices, 1 + rng() % 40);
-      PublishIndexed(indexed, batch);
-      scan.PublishScan(batch);
-
-      igot.clear();
-      sgot.clear();
-      indexed.Poll(isub, &igot, SIZE_MAX);
-      scan.Poll(ssub, &sgot, SIZE_MAX);
-      ASSERT_EQ(igot, sgot) << "diverged at round " << round;
+  for (int round = 0; round < 60; ++round) {
+    // Subscribe a few (same filter, both registries; ids stay in step
+    // because both allocate sequentially from 1).
+    size_t subs = rng() % 3;
+    for (size_t i = 0; i < subs; ++i) {
+      SubscriptionFilter f = RandomFilter(rng, kAlgos, kVertices);
+      SubscriptionFilter copy = f;
+      copy.Normalize();
+      uint64_t id = indexed.Subscribe(isub, f);
+      ASSERT_EQ(scan.Subscribe(ssub, std::move(f)), id);
+      live.push_back(id);
+      expected_postings += copy.watch_all ? 1 : copy.WatchedVertices().size();
     }
-    ASSERT_EQ(indexed.matched(), scan.matched());
-    // The index's whole point: examined pairs stay below the scan
-    // equivalent (every batch also touched vertices nobody watches).
-    EXPECT_LT(indexed.candidate_pairs(), indexed.scan_equivalent_pairs());
-    EXPECT_EQ(scan.candidate_pairs(), scan.scan_equivalent_pairs());
+    // Unsubscribe a random live one.
+    if (!live.empty() && rng() % 3 == 0) {
+      size_t pick = rng() % live.size();
+      uint64_t id = live[pick];
+      live.erase(live.begin() + pick);
+      // Re-derive the filter's posting weight via the consistency counter
+      // delta instead of tracking filters: assert after the pair of
+      // removals below.
+      uint64_t before = indexed.IndexEntriesForTest();
+      ASSERT_TRUE(indexed.Unsubscribe(isub, id));
+      ASSERT_TRUE(scan.Unsubscribe(ssub, id));
+      uint64_t removed = before - indexed.IndexEntriesForTest();
+      ASSERT_GE(removed, 1u);
+      expected_postings -= removed;
+    }
+    ASSERT_EQ(indexed.IndexEntriesForTest(), expected_postings);
+    ASSERT_EQ(indexed.NumSubscriptions(), live.size());
+    ASSERT_EQ(scan.NumSubscriptions(), live.size());
 
-    // CloseSubscriber drops every remaining posting.
-    indexed.CloseSubscriber(isub);
-    EXPECT_EQ(indexed.IndexEntriesForTest(), 0u);
-    EXPECT_EQ(indexed.NumSubscriptions(), 0u);
-    scan.CloseSubscriber(ssub);
+    std::vector<CommittedChange> batch =
+        RandomBatch(rng, kAlgos, kVertices, 1 + rng() % 40);
+    hits.clear();
+    indexed.Match(batch, &hits);
+    indexed.Deliver(batch, &hits);
+    scan.PublishScan(batch);
+
+    igot.clear();
+    sgot.clear();
+    indexed.Poll(isub, &igot, SIZE_MAX);
+    scan.Poll(ssub, &sgot, SIZE_MAX);
+    ASSERT_EQ(igot, sgot) << "diverged at round " << round;
   }
+  ASSERT_EQ(indexed.matched(), scan.matched());
+  // The index's whole point: examined pairs stay below the scan
+  // equivalent (every batch also touched vertices nobody watches).
+  EXPECT_LT(indexed.candidate_pairs(), indexed.scan_equivalent_pairs());
+  EXPECT_EQ(scan.candidate_pairs(), scan.scan_equivalent_pairs());
+
+  // CloseSubscriber drops every remaining posting.
+  indexed.CloseSubscriber(isub);
+  EXPECT_EQ(indexed.IndexEntriesForTest(), 0u);
+  EXPECT_EQ(indexed.NumSubscriptions(), 0u);
+  scan.CloseSubscriber(ssub);
 }
 
 // A hit whose subscription disappears between match and delivery is dropped,
@@ -236,7 +215,7 @@ TEST(RegistryIndexTest, StaleHitsDroppedAtDelivery) {
       reg.Subscribe(sub, SubscriptionFilter::WatchVertices(0, {7}));
   std::vector<CommittedChange> batch = {{0, 1, 7, 0, 1}};
   std::vector<MatchHit> hits;
-  reg.MatchShard(0, batch, &hits);
+  reg.Match(batch, &hits);
   ASSERT_EQ(hits.size(), 1u);
   ASSERT_TRUE(reg.Unsubscribe(sub, id));  // between match and delivery
   reg.Deliver(batch, &hits);
@@ -246,14 +225,109 @@ TEST(RegistryIndexTest, StaleHitsDroppedAtDelivery) {
   reg.CloseSubscriber(sub);
 }
 
+// The lock split under contention: two threads subscribe and unsubscribe
+// vertex-set and watch-all filters (Subscribe/Unsubscribe take table_mu_ and
+// index_mu_ in turn) and poll their own notifications, while a third runs
+// Match + Deliver over random batches the whole time, as the publisher's
+// matcher does. Every polled notification must belong to a subscription its
+// subscriber registered and satisfy that subscription's filter, and once the
+// threads join the index must hold exactly the live watch sets.
+TEST(RegistryIndexTest, ConcurrentChurnKeepsIndexConsistent) {
+  constexpr uint64_t kAlgos = 2;
+  // A small vertex range keeps the posting lists shared and long, so
+  // unsynchronized index access would collide often.
+  constexpr uint64_t kVertices = 16;
+  constexpr int kOpsPerThread = 10000;
+
+  SubscriptionRegistry reg;
+  std::atomic<int> churners_left{2};
+
+  struct Churner {
+    SubscriptionRegistry::Subscriber* sub = nullptr;
+    std::map<uint64_t, SubscriptionFilter> registered;  // every id, ever
+    std::vector<uint64_t> live;
+    std::vector<Notification> got;
+  };
+  Churner churners[2];
+  for (Churner& c : churners) c.sub = reg.OpenSubscriber();
+
+  auto churn = [&](Churner& c, uint32_t seed) {
+    std::mt19937 rng(seed);
+    for (int op = 0; op < kOpsPerThread; ++op) {
+      // Subscribe and unsubscribe at equal rates below a cap, so the live
+      // set stays small and the threads spend their time in the index.
+      if (c.live.empty() || (c.live.size() < 64 && rng() % 2 == 0)) {
+        SubscriptionFilter f = RandomFilter(rng, kAlgos, kVertices);
+        SubscriptionFilter normalized = f;
+        normalized.Normalize();
+        uint64_t id = reg.Subscribe(c.sub, std::move(f));
+        c.registered.emplace(id, std::move(normalized));
+        c.live.push_back(id);
+      } else {
+        size_t pick = rng() % c.live.size();
+        EXPECT_TRUE(reg.Unsubscribe(c.sub, c.live[pick]));
+        c.live[pick] = c.live.back();
+        c.live.pop_back();
+      }
+      if (op % 16 == 0) reg.Poll(c.sub, &c.got, SIZE_MAX);
+    }
+    churners_left.fetch_sub(1, std::memory_order_release);
+  };
+
+  uint64_t batches = 0;
+  std::thread matcher([&] {
+    std::mt19937 rng(7);
+    std::vector<MatchHit> hits;
+    while (churners_left.load(std::memory_order_acquire) > 0) {
+      std::vector<CommittedChange> batch =
+          RandomBatch(rng, kAlgos, kVertices, 1 + rng() % 32);
+      hits.clear();
+      reg.Match(batch, &hits);
+      reg.Deliver(batch, &hits);
+      ++batches;
+    }
+  });
+  std::thread a([&] { churn(churners[0], 101); });
+  std::thread b([&] { churn(churners[1], 202); });
+  a.join();
+  b.join();
+  matcher.join();
+  EXPECT_GT(batches, 0u);
+
+  uint64_t expected_postings = 0;
+  size_t live = 0;
+  for (Churner& c : churners) {
+    reg.Poll(c.sub, &c.got, SIZE_MAX);
+    for (const Notification& n : c.got) {
+      auto it = c.registered.find(n.subscription_id);
+      ASSERT_NE(it, c.registered.end())
+          << "notification for a foreign id " << n.subscription_id;
+      const SubscriptionFilter& f = it->second;
+      EXPECT_EQ(n.algo, f.algo);
+      EXPECT_TRUE(f.Matches(n.vertex, n.old_value, n.new_value));
+    }
+    for (uint64_t id : c.live) {
+      const SubscriptionFilter& f = c.registered.at(id);
+      expected_postings += f.watch_all ? 1 : f.WatchedVertices().size();
+    }
+    live += c.live.size();
+  }
+  EXPECT_EQ(reg.IndexEntriesForTest(), expected_postings);
+  EXPECT_EQ(reg.NumSubscriptions(), live);
+
+  for (Churner& c : churners) reg.CloseSubscriber(c.sub);
+  EXPECT_EQ(reg.IndexEntriesForTest(), 0u);
+  EXPECT_EQ(reg.NumSubscriptions(), 0u);
+}
+
 //===--- End-to-end churn invariance -----------------------------------------//
 
 /// Drives the workload in rounds, churning subscriptions at quiesced points
 /// between rounds (flush + matcher drain), appending each round's drained
 /// notifications. The churn schedule is derived from `seed` only, so every
 /// configuration replays the identical subscribe/unsubscribe sequence —
-/// the streams must then be bit-identical regardless of matcher (indexed or
-/// scan), registry sharding, store sharding, ingest sharding, or transport.
+/// the streams must then be bit-identical regardless of store sharding,
+/// ingest sharding, or transport.
 struct ChurnOutcome {
   std::vector<Notification> stream;
   VersionId version = 0;
@@ -303,8 +377,7 @@ constexpr int kChurnRounds = 6;
 
 template <typename Store>
 ChurnOutcome DriveChurnInProcess(const StreamWorkload& wl,
-                                 uint32_t store_shards, size_t ingest_shards,
-                                 bool indexed) {
+                                 uint32_t store_shards, size_t ingest_shards) {
   RisGraphOptions opt;
   opt.store.partition.num_shards = store_shards;
   RisGraph<Store> sys(wl.num_vertices, opt);
@@ -315,7 +388,6 @@ ChurnOutcome DriveChurnInProcess(const StreamWorkload& wl,
 
   SubscriptionRegistry::Options reg;
   reg.queue_capacity = 1 << 20;  // determinism run: no coalescing
-  reg.indexed_matching = indexed;
   SubscriptionRegistry registry(reg);
   ChangePublisher publisher(registry);
   ServiceOptions so;
@@ -352,8 +424,8 @@ ChurnOutcome DriveChurnInProcess(const StreamWorkload& wl,
   return out;
 }
 
-ChurnOutcome DriveChurnOverRpc(const StreamWorkload& wl, size_t ingest_shards,
-                               bool indexed) {
+ChurnOutcome DriveChurnOverRpc(const StreamWorkload& wl,
+                               size_t ingest_shards) {
   RisGraph<> sys(wl.num_vertices);
   size_t bfs = sys.AddAlgorithm<Bfs>(0);
   size_t sssp = sys.AddAlgorithm<Sssp>(0);
@@ -362,7 +434,6 @@ ChurnOutcome DriveChurnOverRpc(const StreamWorkload& wl, size_t ingest_shards,
 
   SubscriptionRegistry::Options reg;
   reg.queue_capacity = 1 << 20;
-  reg.indexed_matching = indexed;
   SubscriptionRegistry registry(reg);
   ChangePublisher publisher(registry);
   ServiceOptions so;
@@ -370,8 +441,7 @@ ChurnOutcome DriveChurnOverRpc(const StreamWorkload& wl, size_t ingest_shards,
   RisGraphService<> service(sys, so);
   service.AttachPublisher(&publisher);
   std::string path = "/tmp/risgraph_sub_churn_" + std::to_string(::getpid()) +
-                     "_" + std::to_string(ingest_shards) +
-                     (indexed ? "_i" : "_s") + ".sock";
+                     "_" + std::to_string(ingest_shards) + ".sock";
   RpcServer server(sys, service, path);
   EXPECT_TRUE(server.Start(4));
   service.Start();
@@ -407,10 +477,10 @@ ChurnOutcome DriveChurnOverRpc(const StreamWorkload& wl, size_t ingest_shards,
   return out;
 }
 
-TEST(SubscriptionIndexInvarianceTest, ChurnStreamsBitIdenticalToScanBaseline) {
+TEST(SubscriptionIndexInvarianceTest,
+     ChurnStreamsBitIdenticalAcrossShardsAndTransports) {
   // 1-thread global pool: pool interleaving is the engine's only
-  // nondeterminism; the publisher's own match pool needs no pinning — its
-  // fan-out is order-independent by construction (Deliver sorts).
+  // nondeterminism; the publisher matches inline on its own thread.
   ThreadPool::ResetGlobal(1);
 
   RmatParams rmat;
@@ -425,37 +495,36 @@ TEST(SubscriptionIndexInvarianceTest, ChurnStreamsBitIdenticalToScanBaseline) {
   StreamWorkload wl =
       BuildStream(uint64_t{1} << rmat.scale, GenerateRmat(rmat), so);
 
-  // The oracle: scan matcher, unsharded everything.
-  ChurnOutcome base =
-      DriveChurnInProcess<DefaultGraphStore>(wl, 1, 1, /*indexed=*/false);
+  // The base: in-process, unsharded store, one ingest ring. (The matcher
+  // itself is pinned to the scan oracle at the registry level above.)
+  ChurnOutcome base = DriveChurnInProcess<DefaultGraphStore>(wl, 1, 1);
   ASSERT_FALSE(base.stream.empty());
   ASSERT_GT(base.version, 0u);
 
-  // Indexed matcher across ingest-ring counts on the unsharded store.
+  // Ingest-ring counts on the unsharded store.
   for (size_t ingest_shards : {1u, 2u, 4u}) {
-    SCOPED_TRACE("indexed ingest_shards=" + std::to_string(ingest_shards));
-    ChurnOutcome got = DriveChurnInProcess<DefaultGraphStore>(
-        wl, 1, ingest_shards, /*indexed=*/true);
+    SCOPED_TRACE("ingest_shards=" + std::to_string(ingest_shards));
+    ChurnOutcome got =
+        DriveChurnInProcess<DefaultGraphStore>(wl, 1, ingest_shards);
     EXPECT_EQ(got.version, base.version);
     ASSERT_EQ(got.stream, base.stream);
   }
-  // Sharded store => sharded registry (ownership wired through
-  // AttachPublisher): the parallel fan-out must still merge to the same
-  // streams.
+  // Sharded store: the registry is unaffected by store ownership, so the
+  // streams must not move.
   for (uint32_t shards : {1u, 2u, 4u}) {
-    SCOPED_TRACE("indexed store_shards=" + std::to_string(shards));
-    ChurnOutcome got = DriveChurnInProcess<ShardedGraphStore<>>(
-        wl, shards, shards, /*indexed=*/true);
+    SCOPED_TRACE("store_shards=" + std::to_string(shards));
+    ChurnOutcome got =
+        DriveChurnInProcess<ShardedGraphStore<>>(wl, shards, shards);
     EXPECT_EQ(got.version, base.version);
     ASSERT_EQ(got.stream, base.stream);
   }
-  // RPC transport, indexed matcher: pushes from different subscriptions may
-  // interleave differently, so compare each subscription's stream.
+  // RPC transport: pushes from different subscriptions may interleave
+  // differently, so compare each subscription's stream.
   const std::vector<Notification> base_per_sub =
       testutil::PerSubscription(base.stream);
   for (size_t ingest_shards : {1u, 4u}) {
     SCOPED_TRACE("rpc ingest_shards=" + std::to_string(ingest_shards));
-    ChurnOutcome got = DriveChurnOverRpc(wl, ingest_shards, /*indexed=*/true);
+    ChurnOutcome got = DriveChurnOverRpc(wl, ingest_shards);
     EXPECT_EQ(got.version, base.version);
     ASSERT_EQ(testutil::PerSubscription(std::move(got.stream)), base_per_sub);
   }

@@ -10,11 +10,10 @@
 //
 // The shard sweep runs twice: under the default modulo ownership and under
 // a locality PartitionMap (shard/partition_map.h) built from the warmup
-// prefix, with the lock-free partition-apply mode on. The gap between the
-// two cross_shard_share columns is the cross-shard tax the locality map
-// removes; static partition quality (edge-cut fraction on the update
-// stream, per-shard half-placement balance) is recorded per map and shard
-// count in a "partition_quality" section.
+// prefix. The gap between the two cross_shard_share columns is the
+// cross-shard tax the locality map removes; static partition quality
+// (edge-cut fraction on the update stream, per-shard half-placement balance)
+// is recorded per map and shard count in a "partition_quality" section.
 //
 // Writes BENCH_fig11a_scalability.json next to the binary: ops/s vs thread
 // count and ops/s vs shard count (recorded, not asserted).
@@ -91,9 +90,7 @@ void RunThreads(const Dataset& d, const StreamWorkload& wl,
 /// count rising — every shard feeds its own engine partition, so epoch apply
 /// fans one lane per shard instead of contending on one mutation domain.
 /// With `locality` set, each shard count gets a locality PartitionMap built
-/// from the warmup prefix, and the lock-free partition-apply mode is on
-/// (safe-phase lanes are partition-exclusive, so per-half spinlocks are
-/// pure overhead there).
+/// from the warmup prefix.
 template <typename Algo>
 void RunShards(const Dataset& d, const StreamWorkload& wl,
                const bench::Env& env,
@@ -107,7 +104,6 @@ void RunShards(const Dataset& d, const StreamWorkload& wl,
     if (locality) {
       opt.store.partition.map =
           BuildLocalityMap(wl.num_vertices, shards, wl.preload);
-      opt.store.lock_free_apply = true;
     }
     RisGraph<ShardedGraphStore<>> sys(wl.num_vertices, opt);
     sys.AddAlgorithm<Algo>(d.spec.root);
@@ -221,8 +217,7 @@ int main() {
   RunShards<Bfs>(d, wl, env, shard_counts);
   RunShards<Sssp>(d, wl, env, shard_counts);
 
-  std::printf("\nShard sweep under the locality map "
-              "(lock-free partition apply):\n");
+  std::printf("\nShard sweep under the locality map:\n");
   std::printf("%-5s", "algo");
   for (uint32_t s : shard_counts) std::printf("  %9u shards.", s);
   std::printf("\n");

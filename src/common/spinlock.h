@@ -6,10 +6,9 @@
 
 namespace risgraph {
 
-/// One-byte test-and-test-and-set spinlock. Used as a per-vertex lock: the
-/// graph store and the value/tree store keep one per vertex, so the footprint
-/// matters more than fairness (critical sections are a handful of cache
-/// lines).
+/// One-byte test-and-test-and-set spinlock. Used as a per-vertex lock by the
+/// incremental engine's parallel frontier, so the footprint matters more than
+/// fairness (critical sections are a handful of cache lines).
 class SpinLock {
  public:
   SpinLock() = default;
@@ -47,25 +46,6 @@ class SpinLockGuard {
 
  private:
   SpinLock& lock_;
-};
-
-/// Guard that may hold nothing: pass nullptr to skip locking entirely. Used
-/// by the graph store's lock-free partition-apply mode, where the execution
-/// plan (one worker per partition) already guarantees exclusivity.
-class OptionalSpinLockGuard {
- public:
-  explicit OptionalSpinLockGuard(SpinLock* lock) : lock_(lock) {
-    if (lock_ != nullptr) lock_->lock();
-  }
-  ~OptionalSpinLockGuard() {
-    if (lock_ != nullptr) lock_->unlock();
-  }
-
-  OptionalSpinLockGuard(const OptionalSpinLockGuard&) = delete;
-  OptionalSpinLockGuard& operator=(const OptionalSpinLockGuard&) = delete;
-
- private:
-  SpinLock* lock_;
 };
 
 }  // namespace risgraph

@@ -35,10 +35,11 @@ class WallTimer {
 };
 
 /// Accumulates wall time into a named component bucket; used by the
-/// performance-breakdown experiment (Figure 11b). Relaxed-atomic: the
-/// epoch pipeline's parallel safe phase times store applies from many pool
-/// workers at once, so the accumulate must not lose increments (ordering is
-/// irrelevant — the buckets are read between phases).
+/// performance-breakdown experiment (Figure 11b). Each bucket is written by
+/// one thread at a time (the coordinator, or the publisher's matcher for its
+/// own bucket — the safe phase times itself once, on the coordinator), but
+/// monitors may read it while that thread runs, hence the relaxed atomic
+/// (ordering is irrelevant).
 class ComponentTimer {
  public:
   void AddNanos(int64_t ns) {

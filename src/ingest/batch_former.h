@@ -12,7 +12,6 @@
 #include "ingest/ingest_queue.h"
 #include "ingest/session.h"
 #include "runtime/risgraph.h"
-#include "shard/shard_router.h"
 
 namespace risgraph {
 
@@ -20,8 +19,8 @@ namespace risgraph {
 /// 4's classification, Figure 9's epoch schema). Each packing pass:
 ///
 ///   1. *Bulk drain*: deferred items plus the shard rings are staged into one
-///      flat buffer (IngestShard::TryPopBulk — one fence pair per run of
-///      slots, not per item).
+///      flat buffer (IngestShard::TryPopBulk — no fence and no head CAS per
+///      item).
 ///   2. *Classify in claim order*: one pass over the stage calls the
 ///      read-only RisGraph::IsUpdateSafe for each update against current
 ///      results plus the in-epoch duplicate-count delta of its own
@@ -57,10 +56,6 @@ class BatchFormer {
     bool is_txn = false;      // the session belongs to the client again
     bool is_async = false;    // pipelined update (carried by value below)
     Update async_update{};
-    /// Shard tag for safe verdicts under a partitioned store: the owning
-    /// shard, or ShardRouter::kCrossShard when the request's mutation spans
-    /// partitions (always 0 when unpartitioned).
-    uint32_t shard = 0;
   };
 
   /// One session's safe prefix claimed from its pipelined stream this epoch;
@@ -95,13 +90,8 @@ class BatchFormer {
     size_t head_ = 0;
   };
 
-  /// `router` is the shard layer's routing map (shard/shard_router.h); when
-  /// partitioned, safe verdicts carry a shard tag so the pipeline's sharded
-  /// safe phase can fan blocking claims without re-routing them. Not owned;
-  /// nullptr = unpartitioned.
-  BatchFormer(RisGraph<Store>& system, ShardedIngestQueue& queue,
-              const ShardRouter* router = nullptr)
-      : system_(system), queue_(queue), router_(router) {
+  BatchFormer(RisGraph<Store>& system, ShardedIngestQueue& queue)
+      : system_(system), queue_(queue) {
     size_t ring_total = 0;
     for (size_t i = 0; i < queue_.num_shards(); ++i) {
       ring_total += queue_.shard(i).capacity();
@@ -288,13 +278,7 @@ class BatchFormer {
         if (!s->is_rw_) {
           auto [ups, n] = UpdatesView(*s);
           safe = SequentialVerdict(ups, n);
-          if (safe) {
-            FoldDeltas(ups, n);
-            if (router_ != nullptr && router_->Partitioned()) {
-              c.shard = s->is_txn_ ? router_->RouteMany(ups, n)
-                                   : router_->Route(*ups);
-            }
-          }
+          if (safe) FoldDeltas(ups, n);
           wal_batch.insert(wal_batch.end(), ups, ups + n);
         }
         if (safe) {
@@ -337,7 +321,6 @@ class BatchFormer {
 
   RisGraph<Store>& system_;
   ShardedIngestQueue& queue_;
-  const ShardRouter* router_;
 
   // Per-pass staging: every item drained this pass, in claim order.
   std::vector<IngestItem> staging_;

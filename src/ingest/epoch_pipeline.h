@@ -107,12 +107,12 @@ struct ServiceOptions {
 /// The coordinator thread repeatedly: (1) lets the batch former claim and
 /// classify requests from the sharded ingest queue until the scheduler says
 /// drain; (2) appends the epoch's WAL records in one group-commit batch;
-/// (3) executes the safe batch in parallel on the thread pool (inter-update
-/// parallelism — safe updates cannot change any result, so store mutations
-/// on distinct vertices commute); (4) drains unsafe updates one by one, each
-/// with intra-update parallel incremental computing; (5) flushes the WAL,
-/// releases old history, and lets the scheduler adapt its backlog threshold
-/// to the tail-latency target.
+/// (3) executes the safe batch on per-owner apply lanes across the thread
+/// pool (inter-update parallelism — safe updates cannot change any result,
+/// and each vertex's halves apply on one lane in claim order; SafePhase);
+/// (4) drains unsafe updates one by one, each with intra-update parallel
+/// incremental computing; (5) flushes the WAL, releases old history, and
+/// lets the scheduler adapt its backlog threshold to the tail-latency target.
 ///
 /// Both the in-process service façade (runtime/service.h) and the RPC server
 /// (net/rpc_server.cc) drive this same pipeline through Session handles.
@@ -120,9 +120,18 @@ template <typename Store = DefaultGraphStore>
 class EpochPipeline {
  public:
   /// True when Store is the shard layer's partitioned store (the shared
-  /// detection trait in shard/shard_router.h); the safe phase then fans
-  /// per shard.
+  /// detection trait in shard/shard_router.h); the safe phase's apply lanes
+  /// are then its partitions.
   static constexpr bool kShardedStore = kIsShardedStore<Store>;
+  /// Epochs with at most this many safe updates apply inline on the
+  /// coordinator (same reasoning as the engine's sequential_edge_threshold).
+  static constexpr uint64_t kInlineSafeUpdates = 16;
+  /// Apply lanes per pool worker over an unpartitioned store. More lanes
+  /// than workers let the pool's cursor balance them: with one lane per
+  /// worker, one slow lane (a hub's list growing, a preempted worker) held
+  /// the whole epoch, and safe_stream's open-loop p999 rose from ~1 ms to
+  /// 3-12 ms on some seeds (4-vCPU VM).
+  static constexpr uint32_t kLanesPerWorker = 4;
 
   EpochPipeline(RisGraph<Store>& system, ServiceOptions options = {},
                 ThreadPool* pool = nullptr)
@@ -130,16 +139,13 @@ class EpochPipeline {
         options_(options),
         scheduler_(options.scheduler),
         pool_(pool != nullptr ? pool : &ThreadPool::Global()),
-        router_(MakeRouter(system)),
         queue_(RingShards(system, options), options.ingest_shard_capacity),
-        former_(system, queue_, &router_) {
+        former_(system, queue_),
+        lane_router_(MakeLaneRouter(system, *pool_)) {
     ring_capacity_ = queue_.shard(0).capacity();
-    if (router_.Partitioned()) {
-      shard_lanes_.resize(router_.num_shards());
-      size_t per_shard =
-          options_.max_safe_batch / router_.num_shards() + 64;
-      for (auto& lane : shard_lanes_) lane.reserve(per_shard);
-    }
+    lanes_.resize(lane_router_.num_shards());
+    size_t per_lane = options_.max_safe_batch / lanes_.size() + 64;
+    for (auto& lane : lanes_) lane.reserve(per_lane);
   }
 
   ~EpochPipeline() { Stop(); }
@@ -278,7 +284,6 @@ class EpochPipeline {
     return wal.WaitDurablePast(seen, timeout_micros);
   }
 
-  const ShardRouter& router() const { return router_; }
   uint64_t safe_ops() const { return safe_ops_.load(std::memory_order_relaxed); }
   uint64_t unsafe_ops() const {
     return unsafe_ops_.load(std::memory_order_relaxed);
@@ -377,21 +382,12 @@ class EpochPipeline {
       //     optional fsync) stays at epoch end, as before.
       system_.WalAppendBatch(wal_batch);
 
-      // --- Safe phase: all safe updates in parallel (inter-update
-      //     parallelism); none of them can change any result. Under a
-      //     partitioned store the fan-out is per shard (each worker owns one
-      //     partition's adjacency lists); otherwise it is per item over the
-      //     shared store's per-vertex locks.
+      // --- Safe phase: all safe updates on the apply lanes (inter-update
+      //     parallelism); none of them can change any result.
       auto& safe_batch = former_.safe_batch();
       auto async_safe = former_.async_safe();  // span over the epoch's groups
       uint64_t epoch_safe = former_.safe_size();
-      if (!safe_batch.empty() || !async_safe.empty()) {
-        if (router_.Partitioned()) {
-          ShardedSafePhase(safe_batch, async_safe);
-        } else {
-          UnshardedSafePhase(safe_batch, async_safe);
-        }
-      }
+      if (epoch_safe > 0) SafePhase(safe_batch, async_safe, epoch_safe);
 
       // --- Unsafe phase: one by one, each with intra-update parallelism.
       auto& unsafe_queue = former_.unsafe_queue();
@@ -468,127 +464,98 @@ class EpochPipeline {
     }
   }
 
-  /// The pre-shard safe phase, unchanged: every safe update applies through
-  /// the shared store (per-vertex spinlocks make distinct-vertex mutations
-  /// commute), item-parallel across the pool. Pipelined groups run as units
-  /// so one session's updates keep FIFO order.
-  void UnshardedSafePhase(std::vector<Claimed>& safe_batch,
-                          std::span<AsyncGroup> async_safe) {
-    VersionId ver = system_.GetCurrentVersion();
-    size_t n_sync = safe_batch.size();
-    size_t n_tasks = n_sync + async_safe.size();
-    auto run_task = [this, &safe_batch, &async_safe, n_sync,
-                     ver](uint64_t i) {
-      if (i < n_sync) {
-        Session& s = *safe_batch[i].session;
-        if (s.is_txn_) {
-          for (const Update& u : s.txn_) ApplySafe(u);
+  /// The safe phase (paper Section 4): per-owner apply lanes, lock-free.
+  /// Every safe update's out-half goes to the lane owning src and its
+  /// in-half to the lane owning dst, in claim order — the store partitions
+  /// under a partitioned store, `v % (kLanesPerWorker * pool width)`
+  /// otherwise. Each vertex thus has one writer that sees its updates in
+  /// claim order, so no lock is needed and the final state (adjacency
+  /// content and order, and with it classification and results) is
+  /// bit-identical to a serial replay at any lane count.
+  ///
+  /// An epoch of at most kInlineSafeUpdates updates applies its halves
+  /// inline on the coordinator, in claim order, and answers each claim as
+  /// soon as its halves are applied: a fork-join across the pool costs more
+  /// than a handful of O(1) store updates. A larger epoch queues the halves
+  /// on their lanes, applies the lanes in one ParallelFor, and answers every
+  /// claim after the join — a response must imply the update is applied.
+  /// Stats are coordinator-side bookkeeping (LatencyRecorder is not atomic)
+  /// and come last.
+  void SafePhase(std::vector<Claimed>& safe_batch,
+                 std::span<AsyncGroup> async_safe, uint64_t n_updates) {
+    const VersionId ver = system_.GetCurrentVersion();
+    const bool inline_apply = n_updates <= kInlineSafeUpdates;
+    uint64_t cross = 0;
+    auto place = [&](const Update& u) {
+      int halves = 0;
+      lane_router_.ForEachOwningShard(u.edge, [&](uint32_t l) {
+        if (inline_apply) {
+          ApplyHalf(l, u);
         } else {
-          ApplySafe(s.update_);
+          lanes_[l].push_back(u);
         }
-        safe_batch[i].latency_ns = RespondOnly(s, ver);
-      } else {
-        AsyncGroup& g = async_safe[i - n_sync];
-        for (const Update& u : g.updates) ApplySafe(u);
-        g.latency_ns = WallTimer::NowNanos() - g.claim_ns;
-        AsyncComplete(*g.session, ver, g.updates.size());
-      }
+        ++halves;
+      });
+      if (halves > 1) ++cross;  // the dst owner applies the in-half
     };
-    // Tiny batches run inline: a fork-join across the pool costs more
-    // than a handful of O(1) store updates (same reasoning as the
-    // engine's sequential_edge_threshold).
-    if (n_tasks <= 16) {
-      for (uint64_t i = 0; i < n_tasks; ++i) run_task(i);
-    } else {
-      pool_->ParallelFor(n_tasks, 2,
-                         [&run_task](size_t, uint64_t b, uint64_t e) {
-                           for (uint64_t i = b; i < e; ++i) run_task(i);
-                         });
+    auto respond = [&](Claimed& c) {
+      c.latency_ns = RespondOnly(*c.session, ver);
+    };
+    auto complete = [&](AsyncGroup& g) {
+      g.latency_ns = WallTimer::NowNanos() - g.claim_ns;
+      AsyncComplete(*g.session, ver, g.updates.size());
+    };
+
+    {
+      // Wall time of the phase, not the sum of per-lane apply times.
+      ScopedTimer t(system_.upd_eng_timer());
+      for (auto& lane : lanes_) lane.clear();
+      for (Claimed& c : safe_batch) {
+        Session& s = *c.session;
+        if (s.is_txn_) {
+          for (const Update& u : s.txn_) place(u);
+        } else {
+          place(s.update_);
+        }
+        if (inline_apply) respond(c);
+      }
+      for (AsyncGroup& g : async_safe) {
+        for (const Update& u : g.updates) place(u);
+        if (inline_apply) complete(g);
+      }
+      if (!inline_apply) {
+        pool_->ParallelFor(lanes_.size(), 1,
+                           [this](size_t, uint64_t b, uint64_t e) {
+                             for (uint64_t l = b; l < e; ++l) {
+                               uint32_t lane = static_cast<uint32_t>(l);
+                               for (const Update& u : lanes_[lane]) {
+                                 ApplyHalf(lane, u);
+                               }
+                             }
+                           });
+        for (Claimed& c : safe_batch) respond(c);
+        for (AsyncGroup& g : async_safe) complete(g);
+      }
     }
-    // Stats are recorded sequentially (LatencyRecorder is not atomic).
-    for (const Claimed& c : safe_batch) {
-      RecordStats(c, /*safe=*/true);
+
+    // Lane halves are the shard layer's cross-shard halves only when the
+    // lanes are the store partitions.
+    if constexpr (kShardedStore) {
+      cross_shard_ops_.fetch_add(cross, std::memory_order_relaxed);
     }
+    for (const Claimed& c : safe_batch) RecordStats(c, /*safe=*/true);
     for (const AsyncGroup& g : async_safe) {
       RecordAsyncStats(g.latency_ns, g.updates.size(), /*safe=*/true);
     }
   }
 
-  /// The shard layer's safe phase (shard/shard_router.h): one apply lane per
-  /// store partition, fanned across the pool with one worker per shard —
-  /// workers never touch another shard's adjacency lists. Each lane holds,
-  /// in claim order, the shard-local updates the partition owns plus its
-  /// half of every cross-shard update (the partition-aware stores apply
-  /// only the halves they own), so every vertex's adjacency sees updates in
-  /// claim order and the final state — and with it classification and
-  /// results — is bit-identical to the unsharded phase at any shard count.
-  /// Responses and stats move after the join: they are coordinator-side
-  /// bookkeeping, and a response must imply the update is applied.
-  void ShardedSafePhase(std::vector<Claimed>& safe_batch,
-                        std::span<AsyncGroup> async_safe) {
+  /// Applies lane `l`'s halves of one update: through the owning partition
+  /// of a partitioned store, or the unpartitioned store's half-owning apply.
+  void ApplyHalf(uint32_t l, const Update& u) {
     if constexpr (kShardedStore) {
-      VersionId ver = system_.GetCurrentVersion();
-      for (auto& lane : shard_lanes_) lane.clear();
-      uint64_t cross = 0;
-      auto route_push = [&](const Update& u) {
-        int halves = 0;
-        router_.ForEachOwningShard(u.edge, [&](uint32_t s) {
-          shard_lanes_[s].push_back(u);
-          ++halves;
-        });
-        if (halves > 1) ++cross;  // the dst owner applies the in-half
-      };
-      for (const Claimed& c : safe_batch) {
-        Session& s = *c.session;
-        if (c.shard != ShardRouter::kCrossShard) {
-          // Batch-former shard tag: the whole request is local to one
-          // partition — straight into its lane, no re-routing.
-          auto& lane = shard_lanes_[c.shard];
-          if (s.is_txn_) {
-            lane.insert(lane.end(), s.txn_.begin(), s.txn_.end());
-          } else {
-            lane.push_back(s.update_);
-          }
-        } else if (s.is_txn_) {
-          for (const Update& u : s.txn_) route_push(u);
-        } else {
-          route_push(s.update_);
-        }
-      }
-      for (AsyncGroup& g : async_safe) {
-        for (const Update& u : g.updates) route_push(u);
-      }
-      cross_shard_ops_.fetch_add(cross, std::memory_order_relaxed);
-
-      {
-        // One coordinator-side timer over the whole fan: the bucket counts
-        // wall time of the phase, not the sum of per-worker apply times.
-        ScopedTimer t(system_.upd_eng_timer());
-        auto& store = system_.store();
-        pool_->ParallelFor(
-            router_.num_shards(), 1,
-            [this, &store](size_t, uint64_t b, uint64_t e) {
-              for (uint64_t s = b; s < e; ++s) {
-                for (const Update& u : shard_lanes_[s]) {
-                  store.ApplyToShard(static_cast<uint32_t>(s), u);
-                }
-              }
-            });
-      }
-
-      for (Claimed& c : safe_batch) {
-        c.latency_ns = RespondOnly(*c.session, ver);
-        RecordStats(c, /*safe=*/true);
-      }
-      int64_t now = WallTimer::NowNanos();
-      for (AsyncGroup& g : async_safe) {
-        g.latency_ns = now - g.claim_ns;
-        AsyncComplete(*g.session, ver, g.updates.size());
-        RecordAsyncStats(g.latency_ns, g.updates.size(), /*safe=*/true);
-      }
+      system_.store().ApplyToShard(l, u);
     } else {
-      (void)safe_batch;
-      (void)async_safe;
+      system_.store().ApplyOwned(lane_router_.OwnershipOf(l), u);
     }
   }
 
@@ -617,8 +584,6 @@ class EpochPipeline {
       }
     }
   }
-
-  void ApplySafe(const Update& u) { system_.ApplySafeToStore(u); }
 
   VersionId ApplyUnsafeOne(const Update& u) {
     switch (u.kind) {
@@ -679,13 +644,17 @@ class EpochPipeline {
     }
   }
 
-  /// The shard layer's routing map: copied from a partitioned store, a
-  /// single always-local shard otherwise (zero routing overhead at N = 1).
-  static ShardRouter MakeRouter(RisGraph<Store>& system) {
+  /// The safe phase's lane map: the store partitions under a partitioned
+  /// store, else kLanesPerWorker modulo lanes per pool worker. Both place
+  /// halves through ShardRouter::ForEachOwningShard.
+  static ShardRouter MakeLaneRouter(RisGraph<Store>& system,
+                                    const ThreadPool& pool) {
     if constexpr (kShardedStore) {
       return system.store().router();
     } else {
-      return ShardRouter(1, system.store().options().keep_transpose);
+      return ShardRouter(
+          kLanesPerWorker * static_cast<uint32_t>(pool.num_threads()),
+          system.store().options().keep_transpose);
     }
   }
 
@@ -708,13 +677,14 @@ class EpochPipeline {
   ServiceOptions options_;
   Scheduler scheduler_;
   ThreadPool* pool_;
-  ShardRouter router_;
   ShardedIngestQueue queue_;
   BatchFormer<Store> former_;
   /// Continuous-query stage on the commit path (nullptr = no subscribers).
   ChangePublisher* publisher_ = nullptr;
-  /// Per-partition apply lanes of the sharded safe phase (reused scratch).
-  std::vector<std::vector<Update>> shard_lanes_;
+  /// Half placement over the safe phase's apply lanes (MakeLaneRouter).
+  ShardRouter lane_router_;
+  /// The safe phase's per-lane halves, in claim order (reused scratch).
+  std::vector<std::vector<Update>> lanes_;
 
   std::vector<std::unique_ptr<Session>> sessions_;
   std::thread coordinator_;

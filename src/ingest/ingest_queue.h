@@ -119,31 +119,21 @@ class IngestShard {
 
   /// Bulk consumer pop: pops up to `max` items into `out`, returning the
   /// count. Single-consumer only (unlike TryPop this elides the head CAS —
-  /// the coordinator is the ring's one consumer). The probe over slot
-  /// sequence numbers uses relaxed loads; ONE acquire fence then orders all
-  /// the item reads and ONE release fence publishes all the freed slots back
-  /// to producers — two fences per run of slots instead of an
-  /// acquire/release pair per item, which is what makes draining a full ring
-  /// cheap enough to sit on the packing hot path.
+  /// the coordinator is the ring's one consumer, so one head store publishes
+  /// the whole run). Each slot's sequence is read with an acquire load before
+  /// its item is copied, and the slot is freed with a release store after.
+  /// On x86 these are plain loads and stores, so the run costs no fence, and
+  /// ThreadSanitizer sees every producer/consumer handoff.
   size_t TryPopBulk(IngestItem* out, size_t max) {
     uint64_t pos = head_.load(std::memory_order_relaxed);
     size_t n = 0;
-    while (n < max &&
-           slots_[(pos + n) & mask_].seq.load(std::memory_order_relaxed) ==
-               pos + n + 1) {
-      ++n;
+    for (; n < max; ++n) {
+      Slot& slot = slots_[(pos + n) & mask_];
+      if (slot.seq.load(std::memory_order_acquire) != pos + n + 1) break;
+      out[n] = slot.item;
+      slot.seq.store(pos + n + mask_ + 1, std::memory_order_release);
     }
-    if (n == 0) return 0;
-    std::atomic_thread_fence(std::memory_order_acquire);
-    for (size_t i = 0; i < n; ++i) {
-      out[i] = slots_[(pos + i) & mask_].item;
-    }
-    std::atomic_thread_fence(std::memory_order_release);
-    for (size_t i = 0; i < n; ++i) {
-      slots_[(pos + i) & mask_].seq.store(pos + i + mask_ + 1,
-                                          std::memory_order_relaxed);
-    }
-    head_.store(pos + n, std::memory_order_relaxed);
+    if (n != 0) head_.store(pos + n, std::memory_order_relaxed);
     return n;
   }
 

@@ -58,8 +58,9 @@ class Session {
   /// in FIFO order, and everything queued behind an unsafe update becomes
   /// *next-epoch* — re-classified only after the unsafe one executed, since
   /// it may change their classification. Same-session updates are applied
-  /// in submission order even inside the parallel safe phase. A full shard
-  /// ring exerts backpressure (the push blocks briefly).
+  /// in submission order even inside the parallel safe phase: its apply
+  /// lanes keep claim order per vertex. A full shard ring exerts
+  /// backpressure (the push blocks briefly).
   void SubmitAsync(const Update& update) {
     async_submitted_.fetch_add(1, std::memory_order_release);
     shard_->Push(IngestItem{IngestKind::kAsync, this, update});

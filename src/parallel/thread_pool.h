@@ -15,11 +15,12 @@ namespace risgraph {
 /// A fork-join thread pool specialized for data-parallel loops.
 ///
 /// RisGraph's engine issues many short parallel regions (a push step over a
-/// small active set), so the pool keeps workers spinning briefly before
-/// sleeping and dispatches loops via a shared atomic cursor instead of a task
-/// queue. This is the substrate under both intra-update parallelism (parallel
-/// incremental computing) and inter-update parallelism (parallel safe
-/// updates).
+/// small active set), so the pool dispatches loops via a shared atomic
+/// cursor instead of a task queue. Idle workers park on a condition
+/// variable (no spinning); every ParallelFor wakes all of them, which is why
+/// callers run small loops inline instead. This is the substrate under both
+/// intra-update parallelism (parallel incremental computing) and
+/// inter-update parallelism (parallel safe updates).
 class ThreadPool {
  public:
   /// Creates `num_threads` workers (including the calling thread as worker 0

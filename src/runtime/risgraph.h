@@ -461,8 +461,10 @@ class RisGraph {
     return true;
   }
 
-  /// Applies a safe edge update to the store only. Thread-safe across
-  /// distinct updates — this is the parallel lane of the epoch loop.
+  /// Applies a safe edge update to the store only, timed per call. Serial
+  /// callers only (the Interactive API's ApplyOne, the benchmark's serial
+  /// replay): the epoch pipeline's safe phase applies through its own
+  /// per-owner lanes under one phase-wide timer.
   void ApplySafeToStore(const Update& u) {
     if (u.kind == UpdateKind::kInsertEdge) {
       ScopedTimer t(upd_eng_timer_);

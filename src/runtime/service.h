@@ -19,9 +19,11 @@ namespace risgraph {
 /// (ingest/epoch_pipeline.h, paper Sections 4 and 5, Figure 9).
 ///
 /// Instantiate over ShardedGraphStore (shard/sharded_store.h) to partition
-/// the graph store: the safe phase then fans one apply lane per partition
-/// and cross-shard work rides the sequential lane — same API, same results,
-/// per-shard mutation parallelism (architecture: shard/shard_router.h).
+/// the graph store: the safe phase's apply lanes are then its partitions
+/// (modulo lanes over the pool otherwise), a cross-shard safe update
+/// applies as one half on each owner's lane, and unsafe work rides the
+/// sequential lane — same API, same results (architecture:
+/// shard/shard_router.h).
 ///
 /// The RPC server (net/rpc_server.cc) and the bench drivers
 /// (bench/service_driver.h) drive the same EpochPipeline — in-process and

@@ -50,14 +50,15 @@ namespace risgraph {
 ///             concept — the coordinator view. Engines, checkpoints and the
 ///             sequential unsafe lane read/mutate through the stitched view
 ///             and observe bit-identical state at any N.
-///   ingest    BatchFormer tags safe verdicts with their route
-///             (Claimed::shard); EpochPipeline fans the safe phase per
-///             shard: each shard's lane applies, in claim order, the
+///   ingest    EpochPipeline's safe phase uses the partitions as its apply
+///             lanes: each shard's lane applies, in claim order, the
 ///             shard-local updates it owns plus its half of each
 ///             cross-shard update — workers never touch another shard's
 ///             adjacency lists, and per-vertex apply order stays the claim
 ///             order, so results (and classification verdicts, which read
 ///             dependency parents) are bit-identical across shard counts.
+///             (An unpartitioned store gets the same lanes from a modulo
+///             router over a multiple of the pool width.)
 ///             EVERY safe update rides the lanes, including cross-shard
 ///             ones and the updates of safe spanning transactions (safe
 ///             updates change no result and their store effects commute,
@@ -109,24 +110,21 @@ namespace risgraph {
 ///
 /// N comes from the same `ServiceOptions::ingest_shards` knob that sizes the
 /// ingest rings (the store is built first, via StoreOptions::partition; the
-/// pipeline aligns its ring default to the store's shard count). N = 1
-/// preserves today's exact behavior: the router degenerates to a single
-/// always-local shard and the pipeline keeps the unsharded safe phase.
+/// pipeline aligns its ring default to the store's shard count). At N = 1
+/// the router degenerates to a single always-local shard: one partition,
+/// one safe-phase lane.
 /// Detection for the shard layer's stitched store concept (exposes the
 /// router and per-partition access — ShardedGraphStore in
-/// sharded_store.h). One definition: the epoch pipeline's sharded safe
-/// phase and the WAL replay's partitioned branch must flip together, or a
-/// store satisfying one but not the other would fan live applies per shard
-/// while recovery replays through a different path.
+/// sharded_store.h). One definition: the epoch pipeline's per-partition
+/// safe-phase lanes and the WAL replay's partitioned branch must flip
+/// together, or a store satisfying one but not the other would fan live
+/// applies per shard while recovery replays through a different path.
 template <typename Store>
 inline constexpr bool kIsShardedStore =
     requires(Store& s, uint32_t i) { s.router(); s.shard(i); };
 
 class ShardRouter {
  public:
-  /// Route verdict for updates whose mutation spans two partitions.
-  static constexpr uint32_t kCrossShard = UINT32_MAX;
-
   explicit ShardRouter(uint32_t num_shards = 1, bool keep_transpose = true,
                        std::shared_ptr<const PartitionMap> map = nullptr)
       : partition_{0, num_shards < 1 ? 1u : num_shards, std::move(map)},
@@ -146,30 +144,10 @@ class ShardRouter {
     return VertexPartition{shard, partition_.num_shards, partition_.map};
   }
 
-  /// Routes one update: the owning shard when every half the update mutates
-  /// lives in one partition, kCrossShard otherwise. Vertex operations grow
-  /// every partition's per-vertex state, so they are always cross-shard
-  /// (they already ride the sequential lane for the same reason).
-  uint32_t Route(const Update& u) const {
-    switch (u.kind) {
-      case UpdateKind::kInsertEdge:
-      case UpdateKind::kDeleteEdge: {
-        uint32_t s = shard_of(u.edge.src);
-        if (!keep_transpose_) return s;  // no in-half to place anywhere else
-        uint32_t d = shard_of(u.edge.dst);
-        return s == d ? s : kCrossShard;
-      }
-      case UpdateKind::kInsertVertex:
-      case UpdateKind::kDeleteVertex:
-        return kCrossShard;
-    }
-    return kCrossShard;
-  }
-
   /// Invokes fn(shard) once per partition that owns a half of this edge:
   /// OwnerOf(src) for the out-half, then OwnerOf(dst) for the in-half when
   /// the store keeps a transpose and it lives elsewhere. THE one definition
-  /// of half placement — the sharded safe phase, the partitioned WAL
+  /// of half placement — the safe phase's lanes, the partitioned WAL
   /// replay, and ShardedGraphStore's stitched mutations must all agree on
   /// it or the bit-identical shard-count-invariance guarantee drifts.
   template <typename Fn>
@@ -180,23 +158,6 @@ class ShardRouter {
       uint32_t d = shard_of(e.dst);
       if (d != s) fn(d);
     }
-  }
-
-  /// Routes a transaction: the common shard when every update resolves to
-  /// the same one, kCrossShard as soon as any update crosses (or two updates
-  /// resolve to different shards — the transaction must apply as a unit).
-  uint32_t RouteMany(const Update* updates, size_t n) const {
-    uint32_t shard = kCrossShard;
-    for (size_t i = 0; i < n; ++i) {
-      uint32_t s = Route(updates[i]);
-      if (s == kCrossShard) return kCrossShard;
-      if (shard == kCrossShard) {
-        shard = s;
-      } else if (shard != s) {
-        return kCrossShard;
-      }
-    }
-    return shard;
   }
 
  private:

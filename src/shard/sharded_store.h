@@ -29,11 +29,11 @@ namespace risgraph {
 /// centralized here so the partitions stay in lock step and id assignment
 /// matches the unsharded store exactly.
 ///
-/// Thread-safety matches GraphStore: stitched mutations of distinct vertices
-/// may run concurrently (per-vertex spinlocks inside the partitions); the
-/// epoch pipeline's sharded safe phase goes further and hands each partition
-/// to one worker via `shard(s)`, so workers never touch each other's
-/// adjacency lists at all.
+/// Thread-safety matches GraphStore: one writer per vertex, no locks. The
+/// stitched mutations are for single-writer callers (the sequential lane,
+/// vertex ops); the epoch pipeline's safe phase and the partitioned WAL
+/// replay hand each partition to one worker via ApplyToShard, so workers
+/// never touch each other's adjacency lists at all.
 ///
 /// Construction mirrors GraphStore — (num_vertices, StoreOptions) — so
 /// RisGraph<ShardedGraphStore<>> drops in; the shard count is

@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/spinlock.h"
 #include "common/stable_vector.h"
 #include "common/types.h"
 #include "index/hash_index.h"
@@ -31,27 +30,21 @@ struct StoreOptions {
   /// a ShardedGraphStore sum to exactly the unsharded store. The default
   /// (num_shards = 1) owns everything: today's behavior, unchanged.
   VertexPartition partition;
-  /// Skip the per-vertex spinlocks on edge mutations. Safe only when every
-  /// mutation path is partition-exclusive — the epoch pipeline's sharded
-  /// safe phase hands each partition to exactly one worker, and every other
-  /// mutation (unsafe lane, vertex ops, recovery's per-shard replay, bulk
-  /// load) is sequential per partition. Honored only when the partition is
-  /// actually partitioned (num_shards > 1): the unsharded safe phase is
-  /// item-parallel over one shared store and still needs the locks.
-  bool lock_free_apply = false;
 };
 
 /// The in-memory graph store: one Indexed Adjacency List per vertex for
 /// out-edges plus (optionally) one for in-edges (the transpose required by
 /// the incremental model, Section 5).
 ///
-/// Thread-safety: edge mutations take the source vertex's out-lock and then
-/// the destination's in-lock (two disjoint lock families acquired in a fixed
-/// order, so no deadlock). Concurrent mutations of *different* vertices
-/// proceed in parallel — this is what makes parallel safe-update execution
-/// possible (Section 4). Readers of the adjacency lists must not run
-/// concurrently with writers; RisGraph's epoch loop guarantees that by
-/// separating the parallel safe phase from analysis.
+/// Thread-safety: the store takes no per-vertex lock. Each vertex's out-list
+/// and in-list must have one writer at a time; edge mutations on disjoint
+/// vertices may run concurrently (NumEdges is atomic). Parallel safe-update
+/// execution (Section 4) gets there by ownership, not locking: the epoch
+/// pipeline splits every edge update into its out-half and in-half and hands
+/// each half to the one apply lane that owns its vertex (ApplyOwned), in
+/// claim order. Readers of the adjacency lists must not run concurrently with
+/// writers; RisGraph's epoch loop guarantees that by separating the parallel
+/// safe phase from analysis.
 template <typename IndexT = HashIndex, bool kIndexOnly = false,
           typename EdgeArray = std::vector<AdjEntry>>
 class GraphStore {
@@ -59,8 +52,7 @@ class GraphStore {
   using Adjacency = AdjacencyList<IndexT, kIndexOnly, EdgeArray>;
 
   explicit GraphStore(uint64_t num_vertices = 0, StoreOptions options = {})
-      : options_(options),
-        lock_free_(options.lock_free_apply && options.partition.Partitioned()) {
+      : options_(options) {
     EnsureVertices(num_vertices);
   }
 
@@ -75,8 +67,6 @@ class GraphStore {
   /// the store is empty (see the PartitionMap contract in shard_router.h).
   void SetPartition(VertexPartition partition) {
     options_.partition = std::move(partition);
-    lock_free_ =
-        options_.lock_free_apply && options_.partition.Partitioned();
   }
 
   //===------------------------------------------------------------------===//
@@ -91,9 +81,9 @@ class GraphStore {
     out_.Resize(n);
     if (options_.keep_transpose) in_.Resize(n);
     for (size_t v = old; v < n; ++v) {
-      out_[v].adj.SetIndexThreshold(options_.index_threshold);
+      out_[v].SetIndexThreshold(options_.index_threshold);
       if (options_.keep_transpose) {
-        in_[v].adj.SetIndexThreshold(options_.index_threshold);
+        in_[v].SetIndexThreshold(options_.index_threshold);
       }
     }
   }
@@ -109,9 +99,9 @@ class GraphStore {
     }
     size_t v = out_.EmplaceBack();
     if (options_.keep_transpose) in_.EmplaceBack();
-    out_[v].adj.SetIndexThreshold(options_.index_threshold);
+    out_[v].SetIndexThreshold(options_.index_threshold);
     if (options_.keep_transpose) {
-      in_[v].adj.SetIndexThreshold(options_.index_threshold);
+      in_[v].SetIndexThreshold(options_.index_threshold);
     }
     return v;
   }
@@ -120,33 +110,21 @@ class GraphStore {
   /// users to delete incident edges first); returns false otherwise.
   bool RemoveVertex(VertexId v) {
     if (v >= out_.size()) return false;
-    if (out_[v].adj.LiveKeys() != 0) return false;
-    if (options_.keep_transpose && in_[v].adj.LiveKeys() != 0) return false;
+    if (out_[v].LiveKeys() != 0) return false;
+    if (options_.keep_transpose && in_[v].LiveKeys() != 0) return false;
     std::lock_guard<std::mutex> g(vertex_mu_);
     recycled_.push_back(v);
     return true;
   }
 
   //===------------------------------------------------------------------===//
-  // Edge mutations (thread-safe across distinct vertices)
+  // Edge mutations (one writer per vertex; see the class comment)
   //===------------------------------------------------------------------===//
 
   /// Inserts one directed edge; returns true if a new (dst, weight) key was
   /// created (false = duplicate count bump, or a partition that does not own
   /// src). A partitioned handle applies only the halves it owns.
-  bool InsertEdge(const Edge& e) {
-    bool fresh = false;
-    if (options_.partition.Owns(e.src)) {
-      OptionalSpinLockGuard g(lock_free_ ? nullptr : &out_[e.src].lock);
-      fresh = out_[e.src].adj.Insert(EdgeKey{e.dst, e.weight});
-      num_edges_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (options_.keep_transpose && options_.partition.Owns(e.dst)) {
-      OptionalSpinLockGuard g(lock_free_ ? nullptr : &in_[e.dst].lock);
-      in_[e.dst].adj.Insert(EdgeKey{e.src, e.weight});
-    }
-    return fresh;
-  }
+  bool InsertEdge(const Edge& e) { return InsertOwned(options_.partition, e); }
 
   /// Deletes one directed edge (one duplicate). When the partition owns src,
   /// kNotFound short-circuits before the in-half (the halves always move in
@@ -154,25 +132,26 @@ class GraphStore {
   /// partition owning only dst trusts the src owner's verdict and applies
   /// its in-half unconditionally (a no-op when the key is absent).
   DeleteResult DeleteEdge(const Edge& e) {
-    DeleteResult r = DeleteResult::kNotFound;
-    bool owns_src = options_.partition.Owns(e.src);
-    if (owns_src) {
-      OptionalSpinLockGuard g(lock_free_ ? nullptr : &out_[e.src].lock);
-      r = out_[e.src].adj.Delete(EdgeKey{e.dst, e.weight});
-      if (r == DeleteResult::kNotFound) return r;
-      num_edges_.fetch_sub(1, std::memory_order_relaxed);
+    return DeleteOwned(options_.partition, e);
+  }
+
+  /// Applies the halves of one edge update that `owner` owns, in place of
+  /// the store's own ownership: the out-half when `owner` owns src, the
+  /// in-half when it owns dst. The epoch pipeline's apply lanes over an
+  /// unpartitioned store pass {lane, width}, so each vertex has exactly one
+  /// writer and the lanes need no lock. Vertex operations are no-ops here
+  /// (they run on the sequential lane).
+  void ApplyOwned(const VertexPartition& owner, const Update& u) {
+    if (u.kind == UpdateKind::kInsertEdge) {
+      InsertOwned(owner, u.edge);
+    } else if (u.kind == UpdateKind::kDeleteEdge) {
+      DeleteOwned(owner, u.edge);
     }
-    if (options_.keep_transpose && options_.partition.Owns(e.dst)) {
-      OptionalSpinLockGuard g(lock_free_ ? nullptr : &in_[e.dst].lock);
-      DeleteResult in_r = in_[e.dst].adj.Delete(EdgeKey{e.src, e.weight});
-      if (!owns_src) r = in_r;  // in-half-only handle: report the in side
-    }
-    return r;
   }
 
   /// Duplicate count of an edge key (0 = absent).
   uint64_t EdgeCount(VertexId src, EdgeKey key) const {
-    return out_[src].adj.Count(key);
+    return out_[src].Count(key);
   }
 
   //===------------------------------------------------------------------===//
@@ -182,29 +161,29 @@ class GraphStore {
   /// Visits every distinct out-edge of v as fn(dst, weight, dup_count).
   template <typename Fn>
   void ForEachOut(VertexId v, Fn&& fn) const {
-    out_[v].adj.ForEach(fn);
+    out_[v].ForEach(fn);
   }
 
   /// Visits every distinct in-edge of v as fn(src, weight, dup_count).
   template <typename Fn>
   void ForEachIn(VertexId v, Fn&& fn) const {
-    in_[v].adj.ForEach(fn);
+    in_[v].ForEach(fn);
   }
 
-  uint64_t OutDegree(VertexId v) const { return out_[v].adj.LiveKeys(); }
+  uint64_t OutDegree(VertexId v) const { return out_[v].LiveKeys(); }
   uint64_t InDegree(VertexId v) const {
-    return options_.keep_transpose ? in_[v].adj.LiveKeys() : 0;
+    return options_.keep_transpose ? in_[v].LiveKeys() : 0;
   }
 
   /// Raw adjacency slot access for edge-parallel push (IA mode only).
   static constexpr bool kHasRawSlots = Adjacency::kHasRawSlots;
-  size_t RawOutSize(VertexId v) const { return out_[v].adj.RawSize(); }
+  size_t RawOutSize(VertexId v) const { return out_[v].RawSize(); }
   const AdjEntry& RawOutEntry(VertexId v, size_t i) const {
-    return out_[v].adj.RawEntry(i);
+    return out_[v].RawEntry(i);
   }
-  size_t RawInSize(VertexId v) const { return in_[v].adj.RawSize(); }
+  size_t RawInSize(VertexId v) const { return in_[v].RawSize(); }
   const AdjEntry& RawInEntry(VertexId v, size_t i) const {
-    return in_[v].adj.RawEntry(i);
+    return in_[v].RawEntry(i);
   }
 
   /// Total directed edges including duplicates.
@@ -214,24 +193,45 @@ class GraphStore {
 
   size_t MemoryBytes() const {
     size_t bytes = 0;
-    for (size_t v = 0; v < out_.size(); ++v) bytes += out_[v].adj.MemoryBytes();
+    for (size_t v = 0; v < out_.size(); ++v) bytes += out_[v].MemoryBytes();
     if (options_.keep_transpose) {
-      for (size_t v = 0; v < in_.size(); ++v) bytes += in_[v].adj.MemoryBytes();
+      for (size_t v = 0; v < in_.size(); ++v) bytes += in_[v].MemoryBytes();
     }
     return bytes + out_.MemoryBytes() +
            (options_.keep_transpose ? in_.MemoryBytes() : 0);
   }
 
  private:
-  struct VertexSlot {
-    SpinLock lock;
-    Adjacency adj;
-  };
+  bool InsertOwned(const VertexPartition& owner, const Edge& e) {
+    bool fresh = false;
+    if (owner.Owns(e.src)) {
+      fresh = out_[e.src].Insert(EdgeKey{e.dst, e.weight});
+      num_edges_.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (options_.keep_transpose && owner.Owns(e.dst)) {
+      in_[e.dst].Insert(EdgeKey{e.src, e.weight});
+    }
+    return fresh;
+  }
+
+  DeleteResult DeleteOwned(const VertexPartition& owner, const Edge& e) {
+    DeleteResult r = DeleteResult::kNotFound;
+    bool owns_src = owner.Owns(e.src);
+    if (owns_src) {
+      r = out_[e.src].Delete(EdgeKey{e.dst, e.weight});
+      if (r == DeleteResult::kNotFound) return r;
+      num_edges_.fetch_sub(1, std::memory_order_relaxed);
+    }
+    if (options_.keep_transpose && owner.Owns(e.dst)) {
+      DeleteResult in_r = in_[e.dst].Delete(EdgeKey{e.src, e.weight});
+      if (!owns_src) r = in_r;  // in-half-only handle: report the in side
+    }
+    return r;
+  }
 
   StoreOptions options_;
-  bool lock_free_ = false;  // lock_free_apply && Partitioned(), precomputed
-  StableVector<VertexSlot> out_;
-  StableVector<VertexSlot> in_;
+  StableVector<Adjacency> out_;
+  StableVector<Adjacency> in_;
   std::atomic<uint64_t> num_edges_{0};
 
   std::mutex vertex_mu_;

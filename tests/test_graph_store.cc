@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <map>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/random.h"
@@ -59,24 +59,62 @@ TEST(GraphStore, VertexAddRemoveRecycle) {
   EXPECT_FALSE(store.RemoveVertex(u));
 }
 
-TEST(GraphStore, ConcurrentInsertsOnDisjointAndSharedVertices) {
-  DefaultGraphStore store(64);
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 2000;
+/// Adjacency content and iteration order of every vertex, both directions.
+std::vector<std::vector<std::tuple<VertexId, Weight, uint64_t>>> Snapshot(
+    const DefaultGraphStore& store) {
+  std::vector<std::vector<std::tuple<VertexId, Weight, uint64_t>>> lists;
+  for (VertexId v = 0; v < store.NumVertices(); ++v) {
+    lists.emplace_back();
+    store.ForEachOut(v, [&](VertexId d, Weight w, uint64_t c) {
+      lists.back().emplace_back(d, w, c);
+    });
+    lists.emplace_back();
+    store.ForEachIn(v, [&](VertexId s, Weight w, uint64_t c) {
+      lists.back().emplace_back(s, w, c);
+    });
+  }
+  return lists;
+}
+
+/// The store's concurrency contract: one writer per vertex. kThreads lanes
+/// each walk the same update stream in order and apply only the halves their
+/// lane owns (ApplyOwned with {lane, kThreads}); the result must equal a
+/// serial replay, content and order.
+void ApplyOnLanes(DefaultGraphStore& store, const std::vector<Update>& ups,
+                  uint32_t lanes) {
   std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&store, t] {
-      Rng rng(t);
-      for (int i = 0; i < kPerThread; ++i) {
-        // Half the traffic hammers vertex 0 to stress one lock.
-        VertexId src = (i % 2 == 0) ? 0 : rng.NextBounded(64);
-        VertexId dst = rng.NextBounded(64);
-        store.InsertEdge(Edge{src, dst, static_cast<Weight>(t + 1)});
-      }
+  for (uint32_t l = 0; l < lanes; ++l) {
+    threads.emplace_back([&store, &ups, l, lanes] {
+      VertexPartition owner{l, lanes, nullptr};
+      for (const Update& u : ups) store.ApplyOwned(owner, u);
     });
   }
   for (auto& th : threads) th.join();
+}
+
+TEST(GraphStore, ConcurrentInsertsOnDisjointAndSharedVertices) {
+  constexpr uint32_t kThreads = 8;
+  constexpr int kPerThread = 2000;
+  // Every thread's updates, interleaved round-robin; half of each thread's
+  // traffic has src = 0, so vertex 0 is a hub written from all of them.
+  std::vector<Update> ups;
+  std::vector<Rng> rngs;
+  for (uint32_t t = 0; t < kThreads; ++t) rngs.emplace_back(t);
+  for (int i = 0; i < kPerThread; ++i) {
+    for (uint32_t t = 0; t < kThreads; ++t) {
+      VertexId src = (i % 2 == 0) ? 0 : rngs[t].NextBounded(64);
+      VertexId dst = rngs[t].NextBounded(64);
+      ups.push_back(
+          Update::InsertEdge(src, dst, static_cast<Weight>(t + 1)));
+    }
+  }
+  DefaultGraphStore store(64);
+  ApplyOnLanes(store, ups, kThreads);
+  DefaultGraphStore serial(64);
+  for (const Update& u : ups) serial.InsertEdge(u.edge);
+
   EXPECT_EQ(store.NumEdges(), uint64_t{kThreads} * kPerThread);
+  EXPECT_EQ(Snapshot(store), Snapshot(serial));
   // Out-edge totals must equal in-edge totals (transpose consistency).
   uint64_t out_total = 0;
   uint64_t in_total = 0;
@@ -89,39 +127,49 @@ TEST(GraphStore, ConcurrentInsertsOnDisjointAndSharedVertices) {
 }
 
 TEST(GraphStore, ConcurrentMixedInsertDelete) {
-  DefaultGraphStore store(16);
-  // Pre-populate a dense small graph.
-  for (VertexId s = 0; s < 16; ++s) {
-    for (VertexId d = 0; d < 16; ++d) {
-      if (s != d) {
-        store.InsertEdge(Edge{s, d, 1});
-        store.InsertEdge(Edge{s, d, 1});
-      }
-    }
-  }
-  uint64_t initial = store.NumEdges();
-  std::vector<std::thread> threads;
-  std::atomic<int64_t> delta{0};
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&, t] {
-      Rng rng(100 + t);
-      for (int i = 0; i < 5000; ++i) {
-        VertexId s = rng.NextBounded(16);
-        VertexId d = rng.NextBounded(16);
-        if (s == d) continue;
-        if (rng.NextBool(0.5)) {
+  constexpr uint32_t kThreads = 8;
+  auto preload = [](DefaultGraphStore& store) {
+    // A dense small graph, every edge twice.
+    for (VertexId s = 0; s < 16; ++s) {
+      for (VertexId d = 0; d < 16; ++d) {
+        if (s != d) {
           store.InsertEdge(Edge{s, d, 1});
-          delta.fetch_add(1);
-        } else if (store.DeleteEdge(Edge{s, d, 1}) !=
-                   DeleteResult::kNotFound) {
-          delta.fetch_sub(1);
+          store.InsertEdge(Edge{s, d, 1});
         }
       }
-    });
+    }
+  };
+  // Every thread's inserts and deletes, interleaved round-robin; a quarter
+  // of each thread's traffic touches hub vertex 0 (as src or dst).
+  std::vector<Update> ups;
+  std::vector<Rng> rngs;
+  for (uint32_t t = 0; t < kThreads; ++t) rngs.emplace_back(100 + t);
+  for (int i = 0; i < 5000; ++i) {
+    for (uint32_t t = 0; t < kThreads; ++t) {
+      VertexId s = rngs[t].NextBounded(16);
+      VertexId d = rngs[t].NextBounded(16);
+      if (i % 8 == 0) s = 0;
+      if (i % 8 == 4) d = 0;
+      if (s == d) continue;
+      ups.push_back(rngs[t].NextBool(0.5) ? Update::InsertEdge(s, d, 1)
+                                          : Update::DeleteEdge(s, d, 1));
+    }
   }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(store.NumEdges(),
-            initial + static_cast<uint64_t>(delta.load() + 0));
+  DefaultGraphStore store(16);
+  preload(store);
+  ApplyOnLanes(store, ups, kThreads);
+  DefaultGraphStore serial(16);
+  preload(serial);
+  for (const Update& u : ups) {
+    if (u.kind == UpdateKind::kInsertEdge) {
+      serial.InsertEdge(u.edge);
+    } else {
+      serial.DeleteEdge(u.edge);
+    }
+  }
+
+  EXPECT_EQ(store.NumEdges(), serial.NumEdges());
+  EXPECT_EQ(Snapshot(store), Snapshot(serial));
 }
 
 TEST(GraphStore, MemoryReporting) {

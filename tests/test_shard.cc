@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/random.h"
@@ -26,6 +27,15 @@
 namespace risgraph {
 namespace {
 
+/// The partitions ForEachOwningShard places an edge's halves on, in order.
+std::vector<uint32_t> Owners(const ShardRouter& router, VertexId src,
+                             VertexId dst) {
+  std::vector<uint32_t> owners;
+  router.ForEachOwningShard(Edge{src, dst, 1},
+                            [&](uint32_t s) { owners.push_back(s); });
+  return owners;
+}
+
 TEST(ShardRouterTest, OwnershipAndRouting) {
   ShardRouter router(4, /*keep_transpose=*/true);
   EXPECT_EQ(router.num_shards(), 4u);
@@ -33,23 +43,21 @@ TEST(ShardRouterTest, OwnershipAndRouting) {
   EXPECT_EQ(router.shard_of(0), 0u);
   EXPECT_EQ(router.shard_of(7), 3u);
 
-  // Local: src and dst resolve to one partition.
-  EXPECT_EQ(router.Route(Update::InsertEdge(4, 8)), 0u);
-  EXPECT_EQ(router.Route(Update::DeleteEdge(5, 13)), 1u);
-  // Cross: the out-half and in-half live on different partitions.
-  EXPECT_EQ(router.Route(Update::InsertEdge(4, 5)), ShardRouter::kCrossShard);
-  // Vertex operations grow every partition: always cross.
-  EXPECT_EQ(router.Route(Update::InsertVertex(0)), ShardRouter::kCrossShard);
-  EXPECT_EQ(router.Route(Update::DeleteVertex(3)), ShardRouter::kCrossShard);
+  // Local: src and dst resolve to one partition, which gets both halves.
+  EXPECT_EQ(Owners(router, 4, 8), (std::vector<uint32_t>{0}));
+  EXPECT_EQ(Owners(router, 5, 13), (std::vector<uint32_t>{1}));
+  // Cross: the out-half on OwnerOf(src), then the in-half on OwnerOf(dst).
+  EXPECT_EQ(Owners(router, 4, 5), (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(Owners(router, 7, 2), (std::vector<uint32_t>{3, 2}));
 
   // No transpose: only the out-half exists, so locality is OwnerOf(src).
   ShardRouter no_transpose(4, /*keep_transpose=*/false);
-  EXPECT_EQ(no_transpose.Route(Update::InsertEdge(4, 5)), 0u);
+  EXPECT_EQ(Owners(no_transpose, 4, 5), (std::vector<uint32_t>{0}));
 
   // N = 1 degenerates to a single always-local shard.
   ShardRouter single(1, true);
   EXPECT_FALSE(single.Partitioned());
-  EXPECT_EQ(single.Route(Update::InsertEdge(123, 456)), 0u);
+  EXPECT_EQ(Owners(single, 123, 456), (std::vector<uint32_t>{0}));
 }
 
 TEST(PartitionMapTest, TableMapResolvesAndFallsBackToModulo) {
@@ -87,20 +95,15 @@ TEST(PartitionMapTest, RouterHonorsInstalledMap) {
   ShardRouter router(2, /*keep_transpose=*/true, map);
   EXPECT_EQ(router.shard_of(1), 0u);
   EXPECT_EQ(router.shard_of(5), 1u);
-  // 0 -> 1 is modulo-cross but map-local; 3 -> 4 straddles the range split.
-  EXPECT_EQ(router.Route(Update::InsertEdge(0, 1)), 0u);
-  EXPECT_EQ(router.Route(Update::InsertEdge(3, 4)), ShardRouter::kCrossShard);
+  // Half placement follows the map: 0 -> 1 is modulo-cross but map-local;
+  // 3 -> 4 straddles the range split.
+  EXPECT_EQ(Owners(router, 0, 1), (std::vector<uint32_t>{0}));
+  EXPECT_EQ(Owners(router, 3, 4), (std::vector<uint32_t>{0, 1}));
   // OwnershipOf must carry the map so stores and engines agree with routing.
   VertexPartition owned = router.OwnershipOf(1);
   EXPECT_EQ(owned.map, map);
   EXPECT_TRUE(owned.Owns(6));
   EXPECT_FALSE(owned.Owns(2));
-  // Half placement follows the map too.
-  std::vector<uint32_t> owners;
-  router.ForEachOwningShard(Edge{3, 4, 1}, [&](uint32_t s) {
-    owners.push_back(s);
-  });
-  EXPECT_EQ(owners, (std::vector<uint32_t>{0, 1}));
 }
 
 TEST(PartitionMapTest, GreedyAssignerCutsEdgesDeterministicallyAndBalances) {
@@ -188,21 +191,6 @@ TEST(PartitionMapTest, SidecarRoundTripsAndRejectsCorruption) {
   }
   EXPECT_FALSE(LoadPartitionMap(path).ok);
   EXPECT_FALSE(LoadPartitionMap(path + ".missing").ok);
-}
-
-TEST(ShardRouterTest, RouteManyIsCrossUnlessOneCommonShard) {
-  ShardRouter router(2, true);
-  std::vector<Update> local = {Update::InsertEdge(0, 2),
-                               Update::DeleteEdge(2, 4)};
-  EXPECT_EQ(router.RouteMany(local.data(), local.size()), 0u);
-  std::vector<Update> split = {Update::InsertEdge(0, 2),
-                               Update::InsertEdge(1, 3)};  // shard 0 + shard 1
-  EXPECT_EQ(router.RouteMany(split.data(), split.size()),
-            ShardRouter::kCrossShard);
-  std::vector<Update> crossing = {Update::InsertEdge(0, 1)};
-  EXPECT_EQ(router.RouteMany(crossing.data(), crossing.size()),
-            ShardRouter::kCrossShard);
-  EXPECT_EQ(router.RouteMany(nullptr, 0), ShardRouter::kCrossShard);
 }
 
 TEST(PartitionAwareStoreTest, AppliesOnlyOwnedHalves) {
@@ -319,8 +307,8 @@ struct DriveOutcome {
   uint64_t num_edges = 0;
 };
 
-/// Drives the full pipeline (pack -> WAL-less group commit -> sharded or
-/// unsharded safe phase -> sequential unsafe lane) with ONE pipelined
+/// Drives the full pipeline (pack -> WAL-less group commit -> per-owner
+/// safe-phase lanes -> sequential unsafe lane) with ONE pipelined
 /// session plus a tail of blocking transactions. A single session keeps the
 /// claim order equal to the submission order whatever the epoch boundaries
 /// land on, and the packer classifies one item at a time in claim order —
@@ -328,12 +316,10 @@ struct DriveOutcome {
 /// and must not depend on the shard count.
 template <typename Store>
 DriveOutcome DriveWorkload(const StreamWorkload& wl, uint32_t num_shards,
-                           std::shared_ptr<const PartitionMap> map = nullptr,
-                           bool lock_free = false) {
+                           std::shared_ptr<const PartitionMap> map = nullptr) {
   RisGraphOptions opt;
   opt.store.partition.num_shards = num_shards;
   opt.store.partition.map = std::move(map);
-  opt.store.lock_free_apply = lock_free;
   RisGraph<Store> sys(wl.num_vertices, opt);
   size_t algos[2] = {sys.template AddAlgorithm<Bfs>(0),
                      sys.template AddAlgorithm<Sssp>(0)};
@@ -349,8 +335,8 @@ DriveOutcome DriveWorkload(const StreamWorkload& wl, uint32_t num_shards,
     stream_client.SubmitAsync(u);
   }
   stream_client.Flush();
-  // Blocking transactions exercise RouteMany tagging: some land whole on one
-  // shard, some span shards, some are unsafe.
+  // Blocking transactions: some land whole on one shard, some span shards,
+  // some are unsafe.
   for (uint64_t t = 0; t < 16; ++t) {
     VertexId a = (3 * t) % wl.num_vertices;
     VertexId b = (3 * t + 1) % wl.num_vertices;
@@ -414,12 +400,12 @@ TEST(ShardCountInvarianceTest, IdenticalResultsVerdictsAndVersionsAt124) {
   ThreadPool::ResetGlobal(0);
 }
 
-// The same anchor under a non-trivial locality map and under the lock-free
-// apply mode: ownership decides only WHERE halves live, never what they
-// contain or the order they apply in, and the lock-free fan is
-// partition-exclusive by construction — so every combination must reproduce
-// the unsharded baseline bit for bit.
-TEST(ShardCountInvarianceTest, IdenticalUnderLocalityMapAndLockFreeApply) {
+// The same anchor under a non-trivial locality map and under modulo
+// ownership: ownership decides only WHERE halves live, never what they
+// contain or the order they apply in, and the lock-free lanes are
+// partition-exclusive by construction — so every map must reproduce the
+// unsharded baseline bit for bit.
+TEST(ShardCountInvarianceTest, IdenticalUnderLocalityAndModuloMaps) {
   ThreadPool::ResetGlobal(1);
 
   RmatParams rmat;
@@ -452,19 +438,16 @@ TEST(ShardCountInvarianceTest, IdenticalUnderLocalityMapAndLockFreeApply) {
     }
     struct Config {
       std::shared_ptr<const PartitionMap> map;
-      bool lock_free;
       const char* name;
     } configs[] = {
-        {map, false, "locality+locked"},
-        {map, true, "locality+lockfree"},
-        {nullptr, true, "modulo+lockfree"},
+        {map, "locality"},
+        {nullptr, "modulo"},
     };
     for (const Config& cfg : configs) {
       SCOPED_TRACE(std::string(cfg.name) +
                    " shards=" + std::to_string(shards));
       DriveOutcome got =
-          DriveWorkload<ShardedGraphStore<>>(wl, shards, cfg.map,
-                                             cfg.lock_free);
+          DriveWorkload<ShardedGraphStore<>>(wl, shards, cfg.map);
       for (int k = 0; k < 2; ++k) {
         ASSERT_EQ(got.values[k], base.values[k]) << "algorithm " << k;
         ASSERT_EQ(got.parents[k], base.parents[k]) << "algorithm " << k;
@@ -517,6 +500,221 @@ TEST(ShardCountInvarianceTest, CrossShardOpsCountedAndResultsConverge) {
     ASSERT_EQ(sys.store().EdgeCount(v, EdgeKey{v + 1, 1}),
               v + 1 < kVertices ? 2u : 0u);
   }
+}
+
+// The one safe phase (ingest/epoch_pipeline.h): lock-free per-owner apply
+// lanes — `v % (4 * pool width)` over an unpartitioned store, the partitions
+// of a sharded one — run inline on the coordinator for epochs of <= 16
+// updates and forked across the pool above that. Each vertex has one writer
+// that sees its halves in claim order, so every configuration must end
+// bit-identical (values, parents, version, adjacency content and order) to
+// the serial Interactive-API replay of the claim order.
+//
+// The apply order is made known: one ingest ring fed by one submitting
+// thread, each burst gives every session at most one update (the pipeline
+// applies an epoch's pipelined updates grouped by session, so this keeps the
+// apply order equal to the claim order wherever the epoch boundaries fall),
+// and
+// the pipelined traffic is safe by construction, so no session ever freezes
+// and nothing is deferred. Edges into the root (hub vertex 0, written from
+// every session) can never improve the root nor be a tree edge; edges
+// inside the island [kIsland, kLaneVertices) (a second hub, kIsland) start
+// at unreachable vertices. Unsafe-capable traffic rides one blocking
+// session, one request at a time, between the pipelined bursts.
+constexpr uint64_t kLaneVertices = 256;
+constexpr VertexId kIsland = 200;
+
+struct LaneOutcome {
+  std::vector<uint64_t> values[2];
+  std::vector<VertexId> parents[2];
+  VersionId version = 0;
+  uint64_t num_edges = 0;
+  std::vector<std::vector<std::tuple<VertexId, Weight, uint64_t>>> adjacency;
+  bool inline_epoch = false;  // an epoch of 1..16 safe updates ran
+  bool forked_epoch = false;  // an epoch of > 16 safe updates ran
+};
+
+template <typename Store>
+LaneOutcome Capture(RisGraph<Store>& sys, const size_t (&algos)[2]) {
+  LaneOutcome out;
+  for (int k = 0; k < 2; ++k) {
+    for (VertexId v = 0; v < kLaneVertices; ++v) {
+      out.values[k].push_back(sys.GetValue(algos[k], v));
+      out.parents[k].push_back(sys.algorithm(algos[k]).Parent(v).parent);
+    }
+  }
+  out.version = sys.GetCurrentVersion();
+  out.num_edges = sys.store().NumEdges();
+  for (VertexId v = 0; v < kLaneVertices; ++v) {
+    out.adjacency.emplace_back();
+    sys.store().ForEachOut(v, [&](VertexId d, Weight w, uint64_t c) {
+      out.adjacency.back().emplace_back(d, w, c);
+    });
+    out.adjacency.emplace_back();
+    sys.store().ForEachIn(v, [&](VertexId src, Weight w, uint64_t c) {
+      out.adjacency.back().emplace_back(src, w, c);
+    });
+  }
+  return out;
+}
+
+std::vector<Edge> LanePreload() {
+  std::vector<Edge> preload;
+  Rng rng(5);
+  for (VertexId v = 0; v + 1 < kIsland; ++v) {
+    preload.push_back(Edge{v, v + 1, 1 + rng.NextBounded(3)});
+  }
+  for (int i = 0; i < 400; ++i) {
+    preload.push_back(Edge{rng.NextBounded(kIsland), rng.NextBounded(kIsland),
+                           1 + rng.NextBounded(3)});
+    VertexId a = kIsland + rng.NextBounded(kLaneVertices - kIsland);
+    VertexId b = kIsland + rng.NextBounded(kLaneVertices - kIsland);
+    preload.push_back(Edge{a, b, 1 + rng.NextBounded(3)});
+  }
+  return preload;
+}
+
+/// One pipelined update that is safe whatever the current state.
+Update SafeLaneUpdate(Rng& rng) {
+  Weight w = 1 + rng.NextBounded(3);
+  VertexId x = 1 + rng.NextBounded(kLaneVertices - 1);
+  VertexId a = kIsland + rng.NextBounded(kLaneVertices - kIsland);
+  VertexId b = kIsland + rng.NextBounded(kLaneVertices - kIsland);
+  switch (rng.NextBounded(4)) {
+    case 0:
+      return Update::InsertEdge(x, 0, w);
+    case 1:
+      return Update::DeleteEdge(x, 0, w);
+    case 2:
+      return Update::InsertEdge(rng.NextBool(0.5) ? kIsland : a, b, w);
+    default:
+      return Update::DeleteEdge(a, rng.NextBool(0.5) ? kIsland : b, w);
+  }
+}
+
+/// Drives three rounds of: a > 16-update pipelined burst pushed while the
+/// coordinator is stopped (claimed as one forked epoch), bursts of 1..16
+/// pipelined updates (inline epochs), then blocking updates inside the
+/// reachable region. Burst update i goes to session i. Appends the claim
+/// order to `order` and the indexes of the pipelined (must-be-safe) updates
+/// to `safe_idx`.
+template <typename Store>
+LaneOutcome DriveLanes(uint32_t num_shards, size_t pool_width,
+                       std::vector<Update>* order,
+                       std::vector<size_t>* safe_idx) {
+  constexpr int kSessions = 64;
+  RisGraphOptions opt;
+  opt.store.partition.num_shards = num_shards;
+  RisGraph<Store> sys(kLaneVertices, opt);
+  size_t algos[2] = {sys.template AddAlgorithm<Bfs>(0),
+                     sys.template AddAlgorithm<Sssp>(0)};
+  sys.LoadGraph(LanePreload());
+  sys.InitializeResults();
+
+  ThreadPool lane_pool(pool_width);
+  ServiceOptions so;
+  so.ingest_shards = 1;  // one FIFO ring: claim order = submission order
+  so.record_epoch_stats = true;
+  EpochPipeline<Store> pipeline(sys, so, &lane_pool);
+  std::vector<Session*> sessions;
+  for (int i = 0; i < kSessions; ++i) {
+    sessions.push_back(pipeline.OpenSession());
+  }
+  Session* blocking = pipeline.OpenSession();
+
+  Rng rng(17);
+  auto submit_safe = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      Update u = SafeLaneUpdate(rng);
+      safe_idx->push_back(order->size());
+      order->push_back(u);
+      sessions[i]->SubmitAsync(u);
+    }
+  };
+  auto drain = [&] {
+    for (Session* s : sessions) s->DrainAsync();
+  };
+  for (int round = 0; round < 3; ++round) {
+    submit_safe(40 + 12 * round);  // one epoch, forked
+    pipeline.Start();
+    drain();
+    for (int burst = 0; burst < 12; ++burst) {
+      submit_safe(1 + static_cast<int>(rng.NextBounded(16)));  // inline
+      drain();
+    }
+    for (int i = 0; i < 40; ++i) {
+      VertexId a = rng.NextBounded(kIsland);
+      VertexId b = 1 + rng.NextBounded(kIsland - 1);
+      Weight w = 1 + rng.NextBounded(3);
+      Update u = rng.NextBool(0.6) ? Update::InsertEdge(a, b, w)
+                                   : Update::DeleteEdge(a, b, w);
+      order->push_back(u);
+      blocking->Submit(u);
+    }
+    pipeline.Stop();
+  }
+
+  EXPECT_EQ(pipeline.completed_ops(), order->size());
+  EXPECT_GT(pipeline.unsafe_ops(), 0u);
+  LaneOutcome out = Capture(sys, algos);
+  for (const EpochStat& e : pipeline.epoch_stats()) {
+    if (e.safe_ops > EpochPipeline<Store>::kInlineSafeUpdates) {
+      out.forked_epoch = true;
+    } else if (e.safe_ops > 0) {
+      out.inline_epoch = true;
+    }
+  }
+  return out;
+}
+
+TEST(SafePhaseLanesTest, InlineAndForkedLanesMatchSerialReplay) {
+  // Engine parents are deterministic only on a 1-thread engine pool; the
+  // lanes get their own pool of the width under test.
+  ThreadPool::ResetGlobal(1);
+  struct Config {
+    bool sharded;
+    uint32_t n;  // pool width (unsharded) or shard count (sharded)
+  } configs[] = {{false, 1}, {false, 2}, {false, 4},
+                 {true, 1},  {true, 2},  {true, 4}};
+  for (const Config& cfg : configs) {
+    SCOPED_TRACE(std::string(cfg.sharded ? "shards=" : "pool width=") +
+                 std::to_string(cfg.n));
+    std::vector<Update> order;
+    std::vector<size_t> safe_idx;
+    LaneOutcome got =
+        cfg.sharded
+            ? DriveLanes<ShardedGraphStore<>>(cfg.n, 4, &order, &safe_idx)
+            : DriveLanes<DefaultGraphStore>(1, cfg.n, &order, &safe_idx);
+    EXPECT_TRUE(got.inline_epoch);
+    EXPECT_TRUE(got.forked_epoch);
+
+    // The serial Interactive-API replay of the claim order.
+    RisGraph<> serial(kLaneVertices);
+    size_t algos[2] = {serial.AddAlgorithm<Bfs>(0),
+                       serial.AddAlgorithm<Sssp>(0)};
+    serial.LoadGraph(LanePreload());
+    serial.InitializeResults();
+    size_t next_safe = 0;
+    for (size_t i = 0; i < order.size(); ++i) {
+      const Update& u = order[i];
+      if (next_safe < safe_idx.size() && safe_idx[next_safe] == i) {
+        ASSERT_TRUE(serial.IsUpdateSafe(u)) << "pipelined update " << i;
+        ++next_safe;
+      }
+      u.kind == UpdateKind::kInsertEdge
+          ? serial.InsEdge(u.edge.src, u.edge.dst, u.edge.weight)
+          : serial.DelEdge(u.edge.src, u.edge.dst, u.edge.weight);
+    }
+    LaneOutcome want = Capture(serial, algos);
+    for (int k = 0; k < 2; ++k) {
+      EXPECT_EQ(got.values[k], want.values[k]) << "algorithm " << k;
+      EXPECT_EQ(got.parents[k], want.parents[k]) << "algorithm " << k;
+    }
+    EXPECT_EQ(got.version, want.version);
+    EXPECT_EQ(got.num_edges, want.num_edges);
+    EXPECT_EQ(got.adjacency, want.adjacency);
+  }
+  ThreadPool::ResetGlobal(0);
 }
 
 }  // namespace
